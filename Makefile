@@ -28,9 +28,11 @@ lint:
 
 # Tier-1 gate: static analysis, vet, and race-enabled tests for every
 # package in the module (the race gate covers the worker pool, parallel
-# kernels, parallel ALSH workers, tracer/metrics registry, the
-# checkpoint/resume machinery, and the serving layer's concurrent
-# predict + hot-swap path; internal/bench dominates the runtime).
+# kernels, parallel ALSH workers — including internal/core's golden
+# weight digests and the multi-worker twin-run determinism tests —
+# tracer/metrics registry, the checkpoint/resume machinery, and the
+# serving layer's concurrent predict + hot-swap path; internal/bench
+# dominates the runtime).
 tier1: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...

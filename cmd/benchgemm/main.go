@@ -8,8 +8,7 @@
 //	          -baseline BENCH_gemm.json -out BENCH_gemm.json
 //
 // Every parallel measurement is validated bit-for-bit against the serial
-// kernel before its timing is reported; a mismatch fails the run, as
-// does a float32 result outside its documented accuracy bound.
+// kernel before its timing is reported; a mismatch fails the run.
 //
 // With -autotune, a small grid of packed-GEMM block configurations is
 // timed first and the fastest is installed for the sweep (and recorded
@@ -44,7 +43,6 @@ func main() {
 		budget   = flag.Duration("budget", 100*time.Millisecond, "minimum measurement time per point")
 		autotune = flag.Bool("autotune", false, "sweep packed-GEMM block configs first and install the fastest")
 		baseline = flag.String("baseline", "", "prior report to gate against (fail on >20% serial GFLOPS regression)")
-		f32      = flag.Bool("f32", true, "include the float32 matmul32 kernel in the sweep")
 	)
 	flag.Parse()
 	sz, err := parseInts(*sizes)
@@ -67,10 +65,7 @@ func main() {
 			n, tuned.Best.MC, tuned.Best.KC, tuned.Best.NC, tuned.Points[bestIndex(tuned)].GFLOPS)
 	}
 
-	rep, err := bench.RunGEMMBench(sz, ws, *budget, *f32)
-	if err != nil {
-		fatal(err)
-	}
+	rep := bench.RunGEMMBench(sz, ws, *budget)
 	rep.Autotune = tuned
 	for _, p := range rep.Points {
 		fmt.Printf("%-14s n=%-5d workers=%d  %8.3f ms/op  %7.2f GFLOPS  speedup %.2fx  (min of %d, stddev %.2f ms)\n",

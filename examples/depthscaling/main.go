@@ -63,7 +63,7 @@ func main() {
 		cm := metrics.NewConfusionMatrix(ds.Spec.Classes)
 		cm.AddBatch(ds.Test.Y, m.Net().Predict(ds.Test.X))
 		fmt.Printf("%-6d %8.2f%%  %-14.2f %-13.2f %-12.3f\n",
-			depth, 100*cm.Accuracy(), cm.PredictionCoverage(), cm.PredictionEntropy(), m.ActiveFraction())
+			depth, 100*cm.Accuracy(), cm.PredictionCoverage(), cm.PredictionEntropy(), m.SamplingSnapshot().ActiveFraction)
 	}
 	fmt.Println("\naccuracy falls and predictions concentrate as depth grows — §7 + §10.3.")
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"samplednn/internal/core"
 	"samplednn/internal/train"
 )
 
@@ -374,13 +373,12 @@ func runPredCollapse(s Scale) (*Result, error) {
 			return nil, err
 		}
 		cm := train.Confusion(out.method, out.data.Test, out.data.Spec.Classes, cfg.evalCap)
-		alsh := out.method.(*core.ALSHApprox)
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprint(d),
 			fmtPct(cm.Accuracy()),
 			fmt.Sprintf("%.2f", cm.PredictionCoverage()),
 			fmt.Sprintf("%.2f", cm.PredictionEntropy()),
-			fmt.Sprintf("%.3f", alsh.ActiveFraction()),
+			fmt.Sprintf("%.3f", out.method.SamplingSnapshot().ActiveFraction),
 		})
 	}
 	return res, nil
@@ -414,8 +412,8 @@ func runMem(s Scale) (*Result, error) {
 			return nil, err
 		}
 		indexBytes := 0
-		if a, ok := out.method.(*core.ALSHApprox); ok {
-			indexBytes = a.IndexMemory()
+		if snap := out.method.SamplingSnapshot(); snap != nil {
+			indexBytes = snap.IndexBytes
 		}
 		final := out.hist.Final()
 		res.Rows = append(res.Rows, []string{

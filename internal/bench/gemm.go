@@ -42,10 +42,6 @@ type GEMMPoint struct {
 	// BitIdentical reports whether this run's output matched the serial
 	// output bit-for-bit (the kernels' determinism contract).
 	BitIdentical bool `json:"bit_identical"`
-	// WorstULP is set on matmul32 serial points only: the largest ULP
-	// distance between the float32 product and the float64 reference
-	// product of the same operands, recorded as an accuracy diagnostic.
-	WorstULP int64 `json:"worst_ulp,omitempty"`
 }
 
 // GEMMReport is the BENCH_gemm.json payload.
@@ -126,12 +122,9 @@ func timeOp(f func(), budget time.Duration) (minNs float64, runs int, stddevNs f
 }
 
 // RunGEMMBench sweeps the GEMM kernels over operand sizes and worker
-// counts; includeF32 adds the float32 matmul32 path to the sweep.
-// Workers == 1 is the serial baseline each speedup is relative to. The
-// per-point budget bounds total runtime. It returns an error when the
-// float32 kernel's result violates its documented accuracy bound
-// against the float64 reference.
-func RunGEMMBench(sizes, workerCounts []int, budget time.Duration, includeF32 bool) (*GEMMReport, error) {
+// counts. Workers == 1 is the serial baseline each speedup is relative
+// to. The per-point budget bounds total runtime.
+func RunGEMMBench(sizes, workerCounts []int, budget time.Duration) *GEMMReport {
 	rep := &GEMMReport{Sizes: sizes, Workers: workerCounts, BlockConfig: tensor.GEMMBlockConfig()}
 	rep.Host.CPUs = runtime.NumCPU()
 	rep.Host.GOMAXPROCS = runtime.GOMAXPROCS(0)
@@ -194,83 +187,8 @@ func RunGEMMBench(sizes, workerCounts []int, budget time.Duration, includeF32 bo
 				})
 			}
 		}
-		if includeF32 {
-			if err := runMatMul32Points(rep, a, b, workerCounts, budget); err != nil {
-				return nil, err
-			}
-		}
 	}
-	return rep, nil
-}
-
-// runMatMul32Points measures the float32 storage path at one size:
-// serial baseline, worker sweep with bit-identity against serial, and a
-// one-shot accuracy verification of the serial product against the
-// float64 reference — the recursive-summation bound of DESIGN.md §13,
-// |err| ≤ n·eps32·Σ|a·b|, with the magnitude sum computed by a second
-// GEMM over |a| and |b|.
-func runMatMul32Points(rep *GEMMReport, a, b *tensor.Matrix, workerCounts []int, budget time.Duration) error {
-	const eps32 = 1.0 / (1 << 23)
-	n := a.Rows
-	a32, b32 := a.ToFloat32(), b.ToFloat32()
-	serialOut := tensor.New32(n, n)
-	tensor.SetPool(pool.New(1))
-	serialNs, serialRuns, serialSd := timeOp(func() { tensor.MatMul32Into(serialOut, a32, b32) }, budget)
-	tensor.SetPool(nil)
-
-	// Accuracy check: widen the float32 operands so both paths see
-	// identical inputs, then bound |f32 - f64| by n·eps32·(|a|·|b|).
-	a64, b64 := a32.ToFloat64(), b32.ToFloat64()
-	ref := tensor.MatMul(a64, b64)
-	absA, absB := a64.Clone(), b64.Clone()
-	for i := range absA.Data {
-		absA.Data[i] = math.Abs(absA.Data[i])
-	}
-	for i := range absB.Data {
-		absB.Data[i] = math.Abs(absB.Data[i])
-	}
-	magSum := tensor.MatMul(absA, absB)
-	var worstULP int64
-	for i := range serialOut.Data {
-		err := math.Abs(float64(serialOut.Data[i]) - ref.Data[i])
-		if bound := float64(n) * eps32 * magSum.Data[i]; err > bound {
-			return fmt.Errorf("matmul32 n=%d element %d: |err| = %g exceeds accuracy bound n·eps32·Σ|a·b| = %g",
-				n, i, err, bound)
-		}
-		// Record the worst ULP distance as a diagnostic; under
-		// cancellation it can be large while the absolute bound holds,
-		// which is exactly why the report carries it.
-		//lint:ignore ulp-bound benchmark accuracy diagnostic: the binding check is the absolute bound above
-		if d := tensor.ULPDistance32(serialOut.Data[i], float32(ref.Data[i])); d > worstULP {
-			worstULP = d
-		}
-	}
-	rep.Points = append(rep.Points, GEMMPoint{
-		Kernel: "matmul32", Size: n, Workers: 1,
-		NsPerOp: serialNs, GFLOPS: gflops(n, serialNs),
-		Runs: serialRuns, StddevNs: serialSd,
-		SpeedupVsSerial: 1, BitIdentical: true,
-		WorstULP: worstULP,
-	})
-	for _, w := range workerCounts {
-		if w <= 1 {
-			continue
-		}
-		p := pool.New(w)
-		out := tensor.New32(n, n)
-		tensor.SetPool(p)
-		ns, runs, sd := timeOp(func() { tensor.MatMul32Into(out, a32, b32) }, budget)
-		tensor.SetPool(nil)
-		p.Close()
-		rep.Points = append(rep.Points, GEMMPoint{
-			Kernel: "matmul32", Size: n, Workers: w,
-			NsPerOp: ns, GFLOPS: gflops(n, ns),
-			Runs: runs, StddevNs: sd,
-			SpeedupVsSerial: serialNs / ns,
-			BitIdentical:    tensor.Equal32(serialOut, out),
-		})
-	}
-	return nil
+	return rep
 }
 
 func gflops(n int, nsPerOp float64) float64 {
@@ -329,10 +247,7 @@ func runGEMMExperiment(s Scale) (*Result, error) {
 	if s == Paper {
 		budget = 500 * time.Millisecond
 	}
-	rep, err := RunGEMMBench(gemmSizesFor(s), []int{1, 2, 4}, budget, true)
-	if err != nil {
-		return nil, err
-	}
+	rep := RunGEMMBench(gemmSizesFor(s), []int{1, 2, 4}, budget)
 	res := &Result{
 		ID:    "gemm-parallel",
 		Title: fmt.Sprintf("GEMM kernels, serial vs worker pool (host: %d CPUs)", rep.Host.CPUs),

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"samplednn/internal/core"
 	"samplednn/internal/work"
 )
 
@@ -65,10 +64,10 @@ func runWorkModel(s Scale) (*Result, error) {
 		exactPerSample := float64(exactAt[r.batch].Total()) / float64(r.batch)
 		epoch := out.hist.TotalTiming().Total().Seconds() / float64(len(out.hist.Epochs))
 		measured := baseTime[r.batch] / epoch
-		if a, ok := out.method.(*core.ALSHApprox); ok {
+		if snap := out.method.SamplingSnapshot(); snap != nil {
 			// Re-evaluate the ALSH row's prediction at the realized
 			// active fraction.
-			frac := a.ActiveFraction()
+			frac := snap.ActiveFraction
 			if frac > 0 {
 				c := work.ColumnSampled(arch, 1, frac, cfg.alshK, cfg.alshL, 3)
 				perSample = float64(c.Total())

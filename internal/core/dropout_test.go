@@ -34,7 +34,7 @@ func TestAdaptiveDropoutPredictBatchUsesExpectation(t *testing.T) {
 		out := l.Act.Forward(z)
 		if i != len(layers)-1 {
 			for k, zv := range z.Data {
-				out.Data[k] *= ms.keepProb(zv)
+				out.Data[k] *= loopOf(ms).rule.(standout).keepProb(zv)
 			}
 		}
 		act = out
@@ -46,24 +46,21 @@ func TestAdaptiveDropoutPredictBatchUsesExpectation(t *testing.T) {
 	}
 }
 
-func TestCorePredictPrefersBatchPredictor(t *testing.T) {
-	net := mlp(t, 7, 6, 12, 3)
-	m := NewAdaptiveDropout(net, opt.NewSGD(0.1), 4, 0.05, rng.New(8))
+func TestPredictBatchDefaultsToNetworkForward(t *testing.T) {
+	// Only standout overrides inference; every other rule (inverted
+	// dropout scaling already corrects the train/test mismatch) predicts
+	// with the plain network forward.
 	x := randInput(9, 5, 6)
-	viaHelper := Predict(m, x)
-	direct := m.PredictBatch(x)
-	for i := range direct {
-		if viaHelper[i] != direct[i] {
-			t.Fatal("core.Predict must route through PredictBatch")
-		}
-	}
-	// Standard has no BatchPredictor: helper equals plain forward.
-	std := NewStandard(mlp(t, 10, 6, 12, 3), opt.NewSGD(0.1))
-	a := Predict(std, x)
-	b := std.Net().Predict(x)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("core.Predict must fall back to the network forward")
+	for _, m := range []Method{
+		NewStandard(mlp(t, 10, 6, 12, 3), opt.NewSGD(0.1)),
+		NewDropout(mlp(t, 20, 6, 12, 3), opt.NewSGD(0.1), 0.5, rng.New(21)),
+	} {
+		a := m.PredictBatch(x)
+		b := m.Net().Predict(x)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: PredictBatch must be the network forward", m.Name())
+			}
 		}
 	}
 }
@@ -71,7 +68,7 @@ func TestCorePredictPrefersBatchPredictor(t *testing.T) {
 func TestEvalAccuracyHelper(t *testing.T) {
 	std := NewStandard(mlp(t, 11, 6, 12, 3), opt.NewSGD(0.1))
 	x := randInput(12, 4, 6)
-	pred := Predict(std, x)
+	pred := std.PredictBatch(x)
 	if EvalAccuracy(std, x, pred) != 1 {
 		t.Fatal("accuracy against own predictions must be 1")
 	}
@@ -92,11 +89,11 @@ func TestAdaptiveDropoutMaskIsBinary(t *testing.T) {
 	m := NewAdaptiveDropout(net, opt.NewSGD(0.01), 4, 0.3, rng.New(14))
 	x, y := separableTask(15, 8, 6, 3)
 	m.Step(x, y)
-	for li, mask := range m.masks {
-		if mask == nil {
-			continue
+	for li, sc := range loopOf(m).sc[:2] {
+		if sc.mask == nil {
+			t.Fatalf("hidden layer %d has no mask after a step", li)
 		}
-		for _, v := range mask.Data {
+		for _, v := range sc.mask.Data {
 			if v != 0 && v != 1 {
 				t.Fatalf("layer %d mask value %v; standout masks are 0/1 (no inverted scaling)", li, v)
 			}
@@ -108,7 +105,7 @@ func TestAdaptiveDropoutKeepProbHigherForStrongNodes(t *testing.T) {
 	// The defining property vs plain Dropout: a node with a strong
 	// pre-activation must be kept far more often than the base rate.
 	net := mlp(t, 16, 6, 12, 3)
-	m := NewAdaptiveDropout(net, opt.NewSGD(0.01), 4, 0.05, rng.New(17))
+	m := loopOf(NewAdaptiveDropout(net, opt.NewSGD(0.01), 4, 0.05, rng.New(17))).rule.(standout)
 	base := m.keepProb(0)
 	strong := m.keepProb(2)
 	if math.Abs(base-0.05) > 1e-9 {
@@ -130,14 +127,5 @@ func TestAdaptiveDropoutConstructorValidation(t *testing.T) {
 			}()
 			NewAdaptiveDropout(net, opt.NewSGD(0.1), 1, keep, rng.New(19))
 		}()
-	}
-}
-
-func TestDropoutInferenceIsPlainNetwork(t *testing.T) {
-	// Inverted dropout: no BatchPredictor, inference via Net().Predict.
-	net := mlp(t, 20, 6, 12, 3)
-	m := NewDropout(net, opt.NewSGD(0.1), 0.5, rng.New(21))
-	if _, ok := interface{}(m).(BatchPredictor); ok {
-		t.Fatal("Dropout must not override inference (inverted scaling already corrects it)")
 	}
 }

@@ -7,12 +7,11 @@ import (
 	"samplednn/internal/tensor"
 )
 
-// This file holds the gather/compute/scatter kernels shared by every
-// column-sampling method (Dropout, Adaptive-Dropout, ALSH-approx). The
-// trick is standard in SLIDE-style systems: instead of running masked
-// operations over the full weight matrix, the active columns are gathered
-// into a compact submatrix, dense kernels run at Θ(batch·|S|·n) cost, and
-// results are scattered back. That realizes the paper's claimed speedup:
+// This file holds the gather/compute/scatter kernels of the activeCols
+// rule (Dropout, ALSH-approx). The trick is standard in SLIDE-style
+// systems: instead of running masked operations over the full weight
+// matrix, the active columns are gathered into a compact submatrix, dense
+// kernels run at Θ(batch·|S|·n) cost, and results are scattered back —
 // one factor of the Θ(batch·n²) layer cost drops from n to |S|.
 
 // gatherColsT copies the selected columns of w into the rows of dst, so
@@ -66,25 +65,12 @@ func scatterCols(full, compact *tensor.Matrix, cols []int) {
 	})
 }
 
-// activeState carries the per-layer forward caches of a column-sampled
-// step, reused across steps to bound allocations.
-type activeState struct {
-	cols    []int          // active node set, ascending
-	wsub    *tensor.Matrix // |S| x fanIn: gathered Wᵀ rows
-	bsub    []float64      // |S| biases
-	zsub    *tensor.Matrix // batch x |S| pre-activations
-	asub    *tensor.Matrix // batch x |S| activations
-	aFull   *tensor.Matrix // batch x fanOut activations, zero outside S
-	in      *tensor.Matrix // cached layer input
-	support []int          // scratch for the sparse-input kernel
-}
-
 // forwardActive runs the sampled feedforward of one layer: only the
 // columns in st.cols are evaluated; all other activations are exactly
 // zero (the sampled nodes are "active", the rest are dropped for this
 // step). scale multiplies the surviving activations (inverted-dropout
 // scaling; 1 for ALSH).
-func forwardActive(l *nn.Layer, x *tensor.Matrix, st *activeState, scale float64) *tensor.Matrix {
+func forwardActive(l *nn.Layer, x *tensor.Matrix, st *layerScratch, scale float64) *tensor.Matrix {
 	st.in = x
 	st.wsub = gatherColsT(l.W, st.cols, st.wsub)
 	st.bsub = gatherVec(l.B, st.cols, st.bsub)
@@ -109,18 +95,15 @@ func forwardActive(l *nn.Layer, x *tensor.Matrix, st *activeState, scale float64
 	return st.aFull
 }
 
-// backwardActive consumes dL/dA of this layer (full width; entries
-// outside the active set are ignored) and produces:
-//   - compact parameter gradients over the active columns (gradWsub is
-//     fanIn x |S|, gradBsub is |S|),
-//   - dL/dA of the previous layer (batch x fanIn, dense).
-//
-// scale must match the forward scaling so d(scale·f(z))/dz is applied.
-func backwardActive(l *nn.Layer, dA *tensor.Matrix, st *activeState, scale float64) (gradWsub *tensor.Matrix, gradBsub []float64, dAPrev *tensor.Matrix) {
+// activeDelta is the activation-derivative half of a column-sampled
+// backward pass: it gathers dL/dA of this layer (full width; entries
+// outside the active set are ignored) onto the active columns and
+// multiplies by scale·f'(z_sub), returning the compact batch x |S|
+// dL/dz. scale must match the forward scaling so d(scale·f(z))/dz is
+// applied.
+func activeDelta(l *nn.Layer, dA *tensor.Matrix, st *layerScratch, scale float64) *tensor.Matrix {
 	batch := st.in.Rows
-	s := len(st.cols)
-	// delta_sub = dA[:, cols] ⊙ scale·f'(z_sub)
-	deltaSub := tensor.New(batch, s)
+	deltaSub := tensor.New(batch, len(st.cols))
 	for i := 0; i < batch; i++ {
 		daRow := dA.RowView(i)
 		dRow := deltaSub.RowView(i)
@@ -133,9 +116,16 @@ func backwardActive(l *nn.Layer, dA *tensor.Matrix, st *activeState, scale float
 		deriv.Scale(scale)
 	}
 	tensor.HadamardInPlace(deltaSub, deriv)
+	return deltaSub
+}
 
+// activeProducts is the matrix-product half: from the compact dL/dz it
+// produces the parameter gradients over the active columns (gradWsub is
+// fanIn x |S|, gradBsub is |S|) and dL/dA of the previous layer
+// (batch x fanIn, dense).
+func activeProducts(st *layerScratch, deltaSub *tensor.Matrix) (gradWsub *tensor.Matrix, gradBsub []float64, dAPrev *tensor.Matrix) {
 	gradWsub = tensor.MatMulTransA(st.in, deltaSub) // fanIn x |S|
-	gradBsub = make([]float64, s)
+	gradBsub = make([]float64, len(st.cols))
 	tensor.ColSumsInto(gradBsub, deltaSub)
 	dAPrev = tensor.MatMul(deltaSub, st.wsub) // batch x fanIn
 	return gradWsub, gradBsub, dAPrev
@@ -180,7 +170,7 @@ func clearGradCols(g nn.Grads, cols []int) {
 	}
 }
 
-// derivInto applies dL/dA ⊙ f'(z) for a dense (unsampled) layer.
+// applyDerivative applies dL/dA ⊙ f'(z) for a dense (unsampled) layer.
 func applyDerivative(l *nn.Layer, dA *tensor.Matrix) *tensor.Matrix {
 	deriv := l.Act.Derivative(l.Z, l.A)
 	tensor.HadamardInPlace(dA, deriv)

@@ -31,7 +31,7 @@ func TestActiveKernelsMatchDenseOnFullSet(t *testing.T) {
 	l := nn.NewLayer(6, 5, nn.Tanh{}, nn.InitHe, g)
 	x := randInput(2, 4, 6)
 
-	st := &activeState{cols: allCols(5)}
+	st := &layerScratch{cols: allCols(5)}
 	aSparse := forwardActive(l, x, st, 1)
 	aDense := l.Forward(x)
 	if !tensor.EqualApprox(aSparse, aDense, 1e-12) {
@@ -39,7 +39,7 @@ func TestActiveKernelsMatchDenseOnFullSet(t *testing.T) {
 	}
 
 	dA := randInput(3, 4, 5)
-	gw, gb, dPrev := backwardActive(l, dA.Clone(), st, 1)
+	gw, gb, dPrev := activeProducts(st, activeDelta(l, dA.Clone(), st, 1))
 
 	// Dense reference: delta = dA ⊙ f'(z), grads from layer.Backward.
 	deriv := l.Act.Derivative(l.Z, l.A)
@@ -63,7 +63,7 @@ func TestForwardActiveZeroesInactive(t *testing.T) {
 	g := rng.New(3)
 	l := nn.NewLayer(4, 6, nn.Sigmoid{}, nn.InitHe, g)
 	x := randInput(4, 3, 4)
-	st := &activeState{cols: []int{1, 4}}
+	st := &layerScratch{cols: []int{1, 4}}
 	a := forwardActive(l, x, st, 1)
 	dense := l.Forward(x)
 	for i := 0; i < a.Rows; i++ {
@@ -83,9 +83,9 @@ func TestForwardActiveScale(t *testing.T) {
 	g := rng.New(4)
 	l := nn.NewLayer(3, 3, nn.Identity{}, nn.InitHe, g)
 	x := randInput(5, 2, 3)
-	st1 := &activeState{cols: allCols(3)}
+	st1 := &layerScratch{cols: allCols(3)}
 	a1 := forwardActive(l, x, st1, 1).Clone()
-	st2 := &activeState{cols: allCols(3)}
+	st2 := &layerScratch{cols: allCols(3)}
 	a2 := forwardActive(l, x, st2, 2)
 	a1.Scale(2)
 	if !tensor.EqualApprox(a1, a2, 1e-12) {

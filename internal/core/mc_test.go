@@ -4,38 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"samplednn/internal/nn"
 	"samplednn/internal/opt"
 	"samplednn/internal/rng"
 	"samplednn/internal/tensor"
 )
-
-// With K at least as large as every sampled dimension, the Eq. 7
-// probabilities are all 1 and MC-approx must take exactly the same step
-// as Standard on an identical network.
-func TestMCWithLargeKEqualsStandard(t *testing.T) {
-	x, y := separableTask(1, 12, 6, 3)
-	netA := mlp(t, 2, 6, 10, 3)
-	netB := netA.Clone()
-
-	std := NewStandard(netA, opt.NewSGD(0.1))
-	mc := NewMCApprox(netB, opt.NewSGD(0.1), MCConfig{K: 100, Where: MCBackward}, rng.New(3))
-
-	lossA := std.Step(x, y)
-	lossB := mc.Step(x, y)
-	if math.Abs(lossA-lossB) > 1e-12 {
-		t.Fatalf("losses differ: %v vs %v", lossA, lossB)
-	}
-	for i := range netA.Layers {
-		if !tensor.EqualApprox(netA.Layers[i].W, netB.Layers[i].W, 1e-10) {
-			t.Fatalf("layer %d weights diverged", i)
-		}
-		for j := range netA.Layers[i].B {
-			if math.Abs(netA.Layers[i].B[j]-netB.Layers[i].B[j]) > 1e-10 {
-				t.Fatalf("layer %d biases diverged", i)
-			}
-		}
-	}
-}
 
 // The backward-only estimator must be unbiased: averaging the gradW
 // estimate over many trials approaches the exact gradient.
@@ -45,16 +18,14 @@ func TestMCGradientUnbiased(t *testing.T) {
 	logits := net.Forward(x)
 	exact := net.Backward(logits, y)
 
-	mc := NewMCApprox(net.Clone(), opt.NewSGD(1), MCConfig{K: 4, Where: MCBackward}, rng.New(6))
-	mc.net = net // share caches with the forwarded network
+	mc, g := rowSampled{cfg: MCConfig{K: 4}}, rng.New(6)
 
 	layer := net.Layers[len(net.Layers)-1]
 	delta := net.Head.Delta(logits, y)
 	mean := tensor.New(layer.FanIn(), layer.FanOut())
 	const trials = 2000
 	for i := 0; i < trials; i++ {
-		g := mc.estimateGradW(layer, delta)
-		tensor.AddInPlace(mean, g.W)
+		tensor.AddInPlace(mean, mc.estimateGradW(layer, delta, g).W)
 	}
 	mean.Scale(1.0 / trials)
 	exactW := exact[len(exact)-1].W
@@ -73,11 +44,11 @@ func TestMCDeltaPrevUnbiased(t *testing.T) {
 	layer := net.Layers[len(net.Layers)-1]
 
 	exact := tensor.MatMulTransB(delta, layer.W)
-	mc := NewMCApprox(net, opt.NewSGD(1), MCConfig{K: 5, Where: MCBackward}, rng.New(9))
+	mc, g := rowSampled{cfg: MCConfig{K: 5}}, rng.New(9)
 	mean := tensor.New(delta.Rows, layer.FanIn())
 	const trials = 3000
 	for i := 0; i < trials; i++ {
-		tensor.AddInPlace(mean, mc.estimateDeltaPrev(layer, delta))
+		tensor.AddInPlace(mean, mc.estimateDeltaPrev(layer, delta, g))
 	}
 	mean.Scale(1.0 / trials)
 	rel := tensor.Sub(mean, exact).FrobeniusNorm() / exact.FrobeniusNorm()
@@ -98,24 +69,32 @@ func TestMCLearnsMiniBatch(t *testing.T) {
 	}
 }
 
+// mcForward runs the row-sampled forward over every layer, as a Step
+// with Where=MCForward does.
+func mcForward(r rowSampled, net *nn.Network, x *tensor.Matrix, g *rng.RNG) *tensor.Matrix {
+	a := x
+	for i, l := range net.Layers {
+		a = r.forward(i, l, a, g, nil)
+	}
+	return a
+}
+
 func TestMCForwardApproxPopulatesCaches(t *testing.T) {
 	x, _ := separableTask(13, 6, 6, 3)
 	net := mlp(t, 14, 6, 10, 3)
-	m := NewMCApprox(net, opt.NewSGD(0.1), MCConfig{K: 3, Where: MCForward}, rng.New(15))
-	logits := m.forwardApprox(x)
+	logits := mcForward(rowSampled{cfg: MCConfig{K: 3}}, net, x, rng.New(15))
 	if logits.Rows != 6 || logits.Cols != 3 {
 		t.Fatalf("logits shape %dx%d", logits.Rows, logits.Cols)
 	}
 	for _, l := range net.Layers {
 		if l.In == nil || l.Z == nil || l.A == nil {
-			t.Fatal("forwardApprox must populate caches for backprop")
+			t.Fatal("the sampled forward must populate caches for backprop")
 		}
 	}
 	// With K >= width the approximate forward equals the exact forward.
-	mExact := NewMCApprox(net, opt.NewSGD(0.1), MCConfig{K: 1000, Where: MCForward}, rng.New(16))
-	approx := mExact.forwardApprox(x)
+	approx := mcForward(rowSampled{cfg: MCConfig{K: 1000}}, net, x, rng.New(16))
 	if !tensor.EqualApprox(approx, net.Forward(x), 1e-10) {
-		t.Fatal("forwardApprox with huge K must equal exact forward")
+		t.Fatal("the sampled forward with huge K must equal exact forward")
 	}
 }
 
@@ -149,10 +128,9 @@ func TestMCStochasticGradWIsExact(t *testing.T) {
 	net := mlp(t, 21, 6, 10, 3)
 	logits := net.Forward(x)
 	exact := net.Backward(logits, y)
-	m := NewMCApprox(net, opt.NewSGD(1), MCConfig{K: 10, Where: MCBackward}, rng.New(22))
 	delta := net.Head.Delta(logits, y)
 	layer := net.Layers[len(net.Layers)-1]
-	got := m.estimateGradW(layer, delta)
+	got := rowSampled{cfg: MCConfig{K: 10}}.estimateGradW(layer, delta, rng.New(22))
 	if !tensor.EqualApprox(got.W, exact[len(exact)-1].W, 1e-12) {
 		t.Fatal("batch-1 gradW must be exact")
 	}
@@ -176,11 +154,11 @@ func TestMCCREstimatorUnbiased(t *testing.T) {
 	layer := net.Layers[len(net.Layers)-1]
 	exact := tensor.MatMulTransB(delta, layer.W)
 
-	m := NewMCApprox(net, opt.NewSGD(1), MCConfig{K: 5, Where: MCBackward, Estimator: MCCR}, rng.New(32))
+	m, g := rowSampled{cfg: MCConfig{K: 5, Estimator: MCCR}}, rng.New(32)
 	mean := tensor.New(delta.Rows, layer.FanIn())
 	const trials = 3000
 	for i := 0; i < trials; i++ {
-		tensor.AddInPlace(mean, m.estimateDeltaPrev(layer, delta))
+		tensor.AddInPlace(mean, m.estimateDeltaPrev(layer, delta, g))
 	}
 	mean.Scale(1.0 / trials)
 	rel := tensor.Sub(mean, exact).FrobeniusNorm() / exact.FrobeniusNorm()
@@ -196,9 +174,9 @@ func TestMCTopKDeterministic(t *testing.T) {
 	logits := net.Forward(x)
 	delta := net.Head.Delta(logits, y)
 	layer := net.Layers[len(net.Layers)-1]
-	m := NewMCApprox(net, opt.NewSGD(1), MCConfig{K: 5, Estimator: MCTopK}, rng.New(35))
-	a := m.estimateDeltaPrev(layer, delta)
-	b := m.estimateDeltaPrev(layer, delta)
+	m, g := rowSampled{cfg: MCConfig{K: 5, Estimator: MCTopK}}, rng.New(35)
+	a := m.estimateDeltaPrev(layer, delta, g)
+	b := m.estimateDeltaPrev(layer, delta, g)
 	if !tensor.Equal(a, b) {
 		t.Fatal("top-k estimator must be deterministic")
 	}

@@ -1,22 +1,25 @@
 // Package core implements the five training methods the paper evaluates
 // (§8.3) over a shared MLP substrate:
 //
-//   - Standard — exact feedforward and backpropagation (the baseline).
-//   - Dropout — uniform node sampling in each hidden layer (§5.1).
-//   - AdaptiveDropout — the Ba-Frey "standout" data-dependent sampler
+//   - "standard" — exact feedforward and backpropagation (the baseline).
+//   - "dropout" — uniform node sampling in each hidden layer (§5.1).
+//   - "adaptive-dropout" — the Ba-Frey "standout" data-dependent sampler
 //     (§5.1), whose keep probabilities track the current network.
-//   - ALSHApprox — the Spring-Shrivastava hash-based node sampler
-//     (§5.2): per-layer asymmetric-LSH MIPS indexes select the active
-//     nodes before any inner product is computed.
-//   - MCApprox — the Adelman et al. Monte-Carlo matrix-multiplication
+//   - "alsh" — the Spring-Shrivastava hash-based node sampler (§5.2):
+//     per-layer asymmetric-LSH MIPS indexes select the active nodes
+//     before any inner product is computed ("alsh-parallel" fans the
+//     same rule out per sample, fanout.go).
+//   - "mc" — the Adelman et al. Monte-Carlo matrix-multiplication
 //     approximation (§6.2), applied during backpropagation only (§10.1).
 //
-// The package makes the paper's central observation concrete in the type
-// system: every method is a special case of sampled matrix
-// multiplication, differing only in which Axis of each layer's weight
-// matrix it samples — Columns (nodes of the current layer: Dropout,
-// Adaptive-Dropout, ALSH) or Rows (nodes of the previous layer:
-// MC-approx).
+// The package makes the paper's central observation (§4.2) concrete:
+// every method is a special case of sampled matrix multiplication,
+// differing only in which Axis of each layer's weight matrix it samples
+// — Columns (nodes of the current layer: Dropout, Adaptive-Dropout,
+// ALSH) or Rows (nodes of the previous layer: MC-approx). One
+// forward/backward/update loop (loop.go) trains all of them; a method is
+// the per-layer rule it plugs in (dense.go, columns.go, standout.go,
+// rows.go), and ALSH adds a hash-lookup column picker (hashindex.go).
 package core
 
 import (
@@ -24,7 +27,10 @@ import (
 	"io"
 	"time"
 
+	"samplednn/internal/lsh"
+	"samplednn/internal/metrics"
 	"samplednn/internal/nn"
+	"samplednn/internal/obs"
 	"samplednn/internal/opt"
 	"samplednn/internal/rng"
 	"samplednn/internal/tensor"
@@ -48,13 +54,8 @@ const (
 
 // String names the axis.
 func (a Axis) String() string {
-	switch a {
-	case AxisNone:
-		return "none"
-	case AxisColumns:
-		return "columns"
-	case AxisRows:
-		return "rows"
+	if names := [...]string{"none", "columns", "rows"}; a >= 0 && int(a) < len(names) {
+		return names[a]
 	}
 	return fmt.Sprintf("Axis(%d)", int(a))
 }
@@ -73,60 +74,78 @@ type Timing struct {
 func (t Timing) Total() time.Duration { return t.Forward + t.Backward + t.Maintain }
 
 // Method is one training approach: it owns a network and knows how to
-// perform a sampled (or exact) training step on a batch.
+// perform a sampled (or exact) training step on a batch. Every method in
+// this package is the shared loop (loop.go) running one per-layer rule,
+// so the surface below has one implementation; ParallelALSH replaces
+// only the step's fan-out.
 type Method interface {
 	// Name identifies the method in experiment output ("standard",
-	// "dropout", "adaptive-dropout", "alsh", "mc").
+	// "dropout", "adaptive-dropout", "alsh", "alsh-parallel", "mc").
 	Name() string
 	// Axis reports which weight-matrix dimension the method samples.
 	Axis() Axis
 	// Step trains on one batch and returns the training loss the method
 	// observed (computed from its own, possibly approximate, forward
-	// pass).
+	// pass). A contained fault (see TryStep) surfaces as NaN.
 	Step(x *tensor.Matrix, y []int) float64
-	// Net returns the underlying network. Inference uses the exact
-	// forward pass.
+	// TryStep is Step with an error path: ParallelALSH's workers convert
+	// panics into errors instead of crashing the process. On a non-nil
+	// error the batch was not applied — the weights are exactly as they
+	// were before the call.
+	TryStep(x *tensor.Matrix, y []int) (float64, error)
+	// Net returns the underlying network.
 	Net() *nn.Network
+	// Optimizer returns the optimizer updates are applied with; the
+	// trainer checkpoints its state and decays its learning rate during
+	// divergence recovery.
+	Optimizer() opt.Optimizer
 	// Timing returns cumulative phase timings since the last reset.
 	Timing() Timing
-	// ResetTiming zeroes the phase timings.
+	// ResetTiming zeroes the phase timings and the sampling
+	// distributions, aligning both with the trainer's per-epoch window.
 	ResetTiming()
-}
-
-// FallibleStepper is implemented by methods whose Step can fail
-// recoverably — today that is ParallelALSH, whose worker goroutines
-// convert panics into errors instead of crashing the process. The
-// trainer prefers TryStep when it is available so a contained worker
-// fault surfaces as an error from Run rather than a corrupted update.
-type FallibleStepper interface {
-	// TryStep is Step with an error path. When it returns a non-nil
-	// error the batch was not applied: the network weights are exactly
-	// as they were before the call.
-	TryStep(x *tensor.Matrix, y []int) (float64, error)
-}
-
-// Resumable is implemented by methods that carry mutable run-time state
-// beyond the network weights — private RNG streams, sample counters,
-// hash-maintenance cadence positions. Full-state checkpoints
-// (internal/train) include this blob so a resumed run continues the
-// method's random choices byte-for-byte where the original left off.
-type Resumable interface {
-	// SaveState serializes the method's run-time state.
+	// RebuildIndexes refits every weight-derived sampling structure to
+	// the current weights — ALSH's full per-epoch re-hash (§9.2). A
+	// no-op for methods that keep none.
+	RebuildIndexes()
+	// SaveState serializes the run-time state beyond the weights —
+	// private RNG streams, sample counters, hash-maintenance cadence —
+	// so a resumed run continues the method's random choices
+	// byte-for-byte. Exact training has none and writes nothing.
 	SaveState(w io.Writer) error
 	// LoadState restores state written by SaveState on a method of the
-	// same type over the same architecture. Implementations that derive
-	// auxiliary structures from the weights (hash indexes) rebuild them,
-	// so callers must restore the network weights first.
+	// same name over the same architecture, then rebuilds structures
+	// derived from the weights, so callers restore the weights first.
 	LoadState(r io.Reader) error
+	// ApproxForward replays the method's approximate feedforward pass
+	// outside the training loop and returns each layer's activation,
+	// index-aligned with Net().Layers; the error-compounding probe
+	// (internal/probe) compares it with the exact forward to measure
+	// the error Theorem 7.2 bounds. For MC-approx, which only
+	// approximates the backward pass, it shows what forward
+	// approximation *would* do (the §10.1 ablation).
+	//
+	// It is read-only with respect to training state: no layer caches,
+	// no scratch a Step depends on, no draws from the method's own RNG.
+	// All randomness comes from g, so interleaving probe calls with
+	// training leaves the trained weights byte-for-byte unchanged.
+	ApproxForward(x *tensor.Matrix, g *rng.RNG) []*tensor.Matrix
+	// PredictBatch returns the predicted class per row of x: the exact
+	// network forward, except for Adaptive-Dropout's expectation network.
+	PredictBatch(x *tensor.Matrix) []int
+	// SamplingSnapshot returns the per-epoch sampling diagnostics for
+	// the run journal, or nil when the method keeps none.
+	SamplingSnapshot() *SamplingSnapshot
 }
 
-// GradComputer splits a method's Step into its two halves: computing
-// the batch gradient and applying an (arbitrary, possibly reduced)
-// gradient through the optimizer. Distributed data-parallel training
-// (internal/dist) is built on this seam — shard gradients are computed
-// on workers with ComputeGrads, summed in a fixed order on the
-// coordinator, and applied everywhere with ApplyGrads. A method that
-// implements it must guarantee ComputeGrads followed by
+// GradComputer splits a Step into its two halves: computing the batch
+// gradient and applying an (arbitrary, possibly reduced) gradient through
+// the optimizer. Distributed data-parallel training (internal/dist) is
+// built on this seam — shard gradients are computed on workers, summed
+// in a fixed order on the coordinator, and applied everywhere. Only
+// exact training (Standard) implements it: a column-sampled update
+// touches the optimizer state of its active columns only, which a dense
+// ApplyGrads cannot reproduce. ComputeGrads followed by
 // ApplyGrads(grads) on the same batch is byte-identical to Step.
 type GradComputer interface {
 	// ComputeGrads runs the forward and backward pass on one batch and
@@ -139,63 +158,28 @@ type GradComputer interface {
 	ApplyGrads(grads []nn.Grads)
 }
 
-// OptimizerHolder exposes a method's optimizer. Every method in this
-// package implements it; the trainer uses it to checkpoint optimizer
-// state and to decay the learning rate during divergence recovery.
-type OptimizerHolder interface {
-	// Optimizer returns the optimizer the method applies updates with.
-	Optimizer() opt.Optimizer
-}
-
-// ApproxForwarder is implemented by sampling methods that can replay
-// their approximate feedforward pass on demand, outside the training
-// loop. The error-compounding probe (internal/probe) runs it side by
-// side with the exact forward on a fixed minibatch to measure the
-// per-layer relative error Theorem 7.2 bounds.
-//
-// Implementations must be read-only with respect to training state: no
-// layer caches, no method scratch that a Step depends on, and — most
-// importantly — no draws from the method's own RNG stream. All sampling
-// randomness comes from g, so interleaving probe calls with training
-// leaves the trained weights byte-for-byte unchanged.
-type ApproxForwarder interface {
-	// ApproxForward returns each layer's activation under the method's
-	// approximation, index-aligned with Net().Layers. For methods that
-	// only approximate the backward pass (MC-approx), the result shows
-	// what forward approximation *would* do — the §10.1 ablation.
-	ApproxForward(x *tensor.Matrix, g *rng.RNG) []*tensor.Matrix
-}
-
-// BatchPredictor is implemented by methods whose inference pass differs
-// from the plain network forward (Adaptive-Dropout's expectation
-// network). Predict and the trainer prefer it when present.
-type BatchPredictor interface {
-	// PredictBatch returns the predicted class per row of x.
-	PredictBatch(x *tensor.Matrix) []int
-}
-
-// Predict runs a method's inference pass: its own BatchPredictor if it
-// has one, otherwise the exact network forward.
-func Predict(m Method, x *tensor.Matrix) []int {
-	if p, ok := m.(BatchPredictor); ok {
-		return p.PredictBatch(x)
-	}
-	return m.Net().Predict(x)
+// SamplingSnapshot carries a sampling method's per-epoch diagnostics for
+// the run journal: the paper's sparsity headline (ActiveFraction, ~5%)
+// plus the §10.3 collapse signals — the distribution of active-set sizes
+// per hidden layer and the hash-bucket occupancy behind them.
+type SamplingSnapshot struct {
+	// ActiveFraction is the mean fraction of nodes active in the most
+	// recent step.
+	ActiveFraction float64 `json:"active_fraction"`
+	// ActiveSets[i] is hidden layer i's distribution of active-set sizes
+	// since the last ResetTiming (one observation per processed sample or
+	// batch union).
+	ActiveSets []obs.DistSnapshot `json:"active_sets,omitempty"`
+	// Buckets[i] is hidden layer i's current hash-table occupancy.
+	Buckets []lsh.BucketStats `json:"buckets,omitempty"`
+	// IndexBytes is the summed footprint estimate of the hash indexes,
+	// the "table setup" cost of the §9.4 memory analysis.
+	IndexBytes int `json:"-"`
 }
 
 // EvalAccuracy measures inference accuracy of a method on labelled data.
 func EvalAccuracy(m Method, x *tensor.Matrix, y []int) float64 {
-	if x.Rows == 0 {
-		return 0
-	}
-	pred := Predict(m, x)
-	hits := 0
-	for i, p := range pred {
-		if p == y[i] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(y))
+	return metrics.Accuracy(y, m.PredictBatch(x))
 }
 
 // Recommendation is the outcome of the paper's §10.4 decision tree.

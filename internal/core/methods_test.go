@@ -36,6 +36,20 @@ func mlp(t *testing.T, seed uint64, inputs, units, outputs int) *nn.Network {
 	return net
 }
 
+// loopOf unwraps a method built by this package to its loop, for tests
+// that inspect the rule, the scratch or the index.
+func loopOf(m Method) *loop {
+	switch v := m.(type) {
+	case *loop:
+		return v
+	case *Standard:
+		return v.loop
+	case *ParallelALSH:
+		return v.loop
+	}
+	panic("core: not a loop-backed method")
+}
+
 func trainAndEval(t *testing.T, m Method, x *tensor.Matrix, y []int, steps int, batch int) float64 {
 	t.Helper()
 	g := rng.New(999)
@@ -89,7 +103,7 @@ func TestDropoutOnlyUpdatesActiveColumns(t *testing.T) {
 	m.Step(bx, y[:1])
 	// Columns outside the last sampled active set must be untouched.
 	active := map[int]bool{}
-	for _, c := range m.states[0].cols {
+	for _, c := range loopOf(m).sc[0].cols {
 		active[c] = true
 	}
 	changed := 0
@@ -115,20 +129,14 @@ func TestDropoutOnlyUpdatesActiveColumns(t *testing.T) {
 	}
 }
 
-func TestDropoutMinKeepFloor(t *testing.T) {
+func TestDropoutKeepsAtLeastOneNode(t *testing.T) {
 	net := mlp(t, 9, 4, 10, 2)
-	m := NewDropout(net, opt.NewSGD(0.1), 0.0001, rng.New(10))
-	m.MinKeep = 3
-	cols := m.sampleCols(10)
-	if len(cols) < 3 {
-		t.Fatalf("MinKeep violated: %v", cols)
-	}
-	seen := map[int]bool{}
-	for _, c := range cols {
-		if seen[c] {
-			t.Fatal("duplicate node in active set")
+	g := rng.New(10)
+	for trial := 0; trial < 20; trial++ {
+		cols := bernoulli{p: 0.0001}.pick(0, net.Layers[0], nil, g, nil)
+		if len(cols) != 1 || cols[0] < 0 || cols[0] >= 10 {
+			t.Fatalf("an (almost surely) empty draw must fall back to one valid node, got %v", cols)
 		}
-		seen[c] = true
 	}
 }
 
@@ -146,7 +154,7 @@ func TestAdaptiveDropoutLearns(t *testing.T) {
 
 func TestAdaptiveDropoutKeepProbTracksActivation(t *testing.T) {
 	net := mlp(t, 14, 4, 8, 2)
-	m := NewAdaptiveDropout(net, opt.NewSGD(0.1), 1, 0.2, rng.New(15))
+	m := loopOf(NewAdaptiveDropout(net, opt.NewSGD(0.1), 1, 0.2, rng.New(15))).rule.(standout)
 	// π must be increasing in z and equal baseKeep at z = 0.
 	if math.Abs(m.keepProb(0)-0.2) > 1e-9 {
 		t.Fatalf("keepProb(0) = %v, want 0.2", m.keepProb(0))
@@ -172,10 +180,11 @@ func TestALSHLearnsShallow(t *testing.T) {
 	if m.Name() != "alsh" || m.Axis() != AxisColumns {
 		t.Fatal("identity accessors wrong")
 	}
-	if m.ActiveFraction() <= 0 || m.ActiveFraction() > 1 {
-		t.Fatalf("active fraction %v", m.ActiveFraction())
+	s := m.SamplingSnapshot()
+	if s.ActiveFraction <= 0 || s.ActiveFraction > 1 {
+		t.Fatalf("active fraction %v", s.ActiveFraction)
 	}
-	if m.IndexMemory() <= 0 {
+	if s.IndexBytes <= 0 {
 		t.Fatal("index memory should be positive")
 	}
 }
@@ -202,7 +211,7 @@ func TestALSHMaintainsIndexes(t *testing.T) {
 	}
 	// Touched sets should be flushed after maintenance cadence.
 	total := 0
-	for _, tm := range m.touched {
+	for _, tm := range loopOf(m).index.touched {
 		if tm != nil {
 			total += len(tm)
 		}
@@ -210,11 +219,18 @@ func TestALSHMaintainsIndexes(t *testing.T) {
 	if total > 3*32 {
 		t.Fatalf("touched sets look unbounded: %d", total)
 	}
-	m.RebuildAll()
-	rebuilds, _ := m.indexes[0].Stats()
+	m.RebuildIndexes()
+	rebuilds, _ := loopOf(m).index.indexes[0].Stats()
 	if rebuilds < 2 {
-		t.Fatalf("RebuildAll did not rebuild (rebuilds=%d)", rebuilds)
+		t.Fatalf("RebuildIndexes did not rebuild (rebuilds=%d)", rebuilds)
 	}
+}
+
+// pickLayer0 runs the method's column picker on layer 0 the way a
+// training step would.
+func pickLayer0(m Method, x *tensor.Matrix) []int {
+	lp := loopOf(m)
+	return lp.index.pick(0, lp.net.Layers[0], x, lp.g, lp.sc[0])
 }
 
 func TestALSHActiveSetRespectsFloorAndCap(t *testing.T) {
@@ -228,7 +244,7 @@ func TestALSHActiveSetRespectsFloorAndCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randInput(24, 1, 6)
-	cols := m.activeSet(0, x)
+	cols := pickLayer0(m, x)
 	if len(cols) < 5 {
 		t.Fatalf("floor violated: %d", len(cols))
 	}
@@ -251,7 +267,7 @@ func TestALSHBatchUnion(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randInput(27, 5, 6)
-	cols := m.activeSet(0, x)
+	cols := pickLayer0(m, x)
 	if len(cols) == 0 {
 		t.Fatal("batch union empty")
 	}
@@ -270,52 +286,6 @@ func lshParamsForTest() lsh.Params {
 	return lsh.Params{K: 3, L: 4, M: 3, U: 0.83}
 }
 
-// With keep probability 1 every node is active and inverted scaling is
-// 1/1, so a Dropout step must equal a Standard step exactly.
-func TestDropoutKeepOneEqualsStandard(t *testing.T) {
-	x, y := separableTask(30, 10, 6, 3)
-	netA := mlp(t, 31, 6, 12, 3)
-	netB := netA.Clone()
-	std := NewStandard(netA, opt.NewSGD(0.1))
-	drop := NewDropout(netB, opt.NewSGD(0.1), 1.0, rng.New(32))
-	lossA := std.Step(x, y)
-	lossB := drop.Step(x, y)
-	if math.Abs(lossA-lossB) > 1e-12 {
-		t.Fatalf("losses differ: %v vs %v", lossA, lossB)
-	}
-	for i := range netA.Layers {
-		if !tensor.EqualApprox(netA.Layers[i].W, netB.Layers[i].W, 1e-10) {
-			t.Fatalf("layer %d weights diverged", i)
-		}
-	}
-}
-
-// With MinActive equal to the layer width, ALSH pads every layer's
-// active set to the full node set, so the step must equal Standard's
-// up to summation order.
-func TestALSHFullActiveEqualsStandard(t *testing.T) {
-	x, y := separableTask(33, 6, 6, 3)
-	netA := mlp(t, 34, 6, 10, 3)
-	netB := netA.Clone()
-	std := NewStandard(netA, opt.NewSGD(0.1))
-	alsh, err := NewALSHApprox(netB, opt.NewSGD(0.1), ALSHConfig{
-		Params: lshParamsForTest(), MinActive: 10,
-	}, rng.New(35))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossA := std.Step(x, y)
-	lossB := alsh.Step(x, y)
-	if math.Abs(lossA-lossB) > 1e-9 {
-		t.Fatalf("losses differ: %v vs %v", lossA, lossB)
-	}
-	for i := range netA.Layers {
-		if !tensor.EqualApprox(netA.Layers[i].W, netB.Layers[i].W, 1e-9) {
-			t.Fatalf("layer %d weights diverged", i)
-		}
-	}
-}
-
 // Column sampling preserves the gradient restricted to the active set:
 // for a fixed active set, the sparse kernels' gradient must equal the
 // dense gradient's values at those columns (already covered for the full
@@ -326,10 +296,10 @@ func TestActiveSubsetGradientsMatchDense(t *testing.T) {
 	x := randInput(37, 3, 5)
 	cols := []int{1, 4, 6}
 
-	st := &activeState{cols: cols}
+	st := &layerScratch{cols: cols}
 	forwardActive(l, x, st, 1)
 	dA := randInput(38, 3, 8)
-	gw, gb, _ := backwardActive(l, dA.Clone(), st, 1)
+	gw, gb, _ := activeProducts(st, activeDelta(l, dA.Clone(), st, 1))
 
 	// Dense reference with inactive columns of dA zeroed, activations
 	// recomputed with inactive nodes clamped to zero.
@@ -362,7 +332,9 @@ func TestALSHSamplingSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var _ SamplingReporter = m // ALSH must expose sampling diagnostics
+	if NewStandard(mlp(t, 60, 8, 32, 4), opt.NewSGD(0.1)).SamplingSnapshot() != nil {
+		t.Fatal("a method without an index has no sampling diagnostics to report")
+	}
 	x, y := separableTask(62, 20, 8, 4)
 	bx := tensor.New(1, 8)
 	for i := 0; i < 20; i++ {

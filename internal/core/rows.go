@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"samplednn/internal/approxmm"
 	"samplednn/internal/nn"
@@ -32,13 +31,8 @@ const (
 
 // String names the placement.
 func (w MCWhere) String() string {
-	switch w {
-	case MCBackward:
-		return "backward"
-	case MCForward:
-		return "forward"
-	case MCBoth:
-		return "both"
+	if names := [...]string{"backward", "forward", "both"}; w >= 0 && int(w) < len(names) {
+		return names[w]
 	}
 	return fmt.Sprintf("MCWhere(%d)", int(w))
 }
@@ -63,13 +57,8 @@ const (
 
 // String names the estimator.
 func (e MCEstimator) String() string {
-	switch e {
-	case MCBernoulli:
-		return "bernoulli"
-	case MCCR:
-		return "cr"
-	case MCTopK:
-		return "topk"
+	if names := [...]string{"bernoulli", "cr", "topk"}; e >= 0 && int(e) < len(names) {
+		return names[e]
 	}
 	return fmt.Sprintf("MCEstimator(%d)", int(e))
 }
@@ -85,10 +74,11 @@ type MCConfig struct {
 	Estimator MCEstimator
 }
 
-// MCApprox is the Adelman et al. trainer (§6.2, MC-approx in the paper):
-// matrix products are estimated by sampling column-row pairs with the
-// Eq. 7 probabilities p_i ∝ ||A[:,i]||·||B[i,:]|| and rescaling survivors
-// by 1/p_i, which keeps the gradient estimate unbiased.
+// rowSampled is MC-approx's rule (Adelman et al., §6.2; "sampling from
+// the previous layer", §4.2): every node is kept, but a layer's matrix
+// products are estimated by sampling column-row pairs with the Eq. 7
+// probabilities p_i ∝ ||A[:,i]||·||B[i,:]|| and rescaling survivors by
+// 1/p_i, which keeps the estimate unbiased.
 //
 // In the default backward-only placement each layer approximates
 //
@@ -99,107 +89,57 @@ type MCConfig struct {
 // second product has a single column-row pair, so sampling degenerates
 // while the probability computation still pays a full pass over W — the
 // §9.3 finding that MC-approxS is slower than StandardS.
-type MCApprox struct {
-	net    *nn.Network
-	optim  opt.Optimizer
-	cfg    MCConfig
-	g      *rng.RNG
-	timing Timing
+type rowSampled struct {
+	dense
+	cfg MCConfig
 }
 
-// NewMCApprox wraps net in Monte-Carlo approximate training.
-func NewMCApprox(net *nn.Network, optim opt.Optimizer, cfg MCConfig, g *rng.RNG) *MCApprox {
-	if net == nil || optim == nil || g == nil {
-		panic("core: MCApprox needs a network, optimizer, and RNG")
-	}
+// NewMCApprox wraps net in Monte-Carlo approximate training; cfg.Where
+// decides which passes of a Step run under the rule.
+func NewMCApprox(net *nn.Network, optim opt.Optimizer, cfg MCConfig, g *rng.RNG) Method {
 	if cfg.K <= 0 {
 		cfg.K = 10
 	}
-	return &MCApprox{net: net, optim: optim, cfg: cfg, g: g}
-}
-
-// Name returns "mc".
-func (m *MCApprox) Name() string { return "mc" }
-
-// Axis returns AxisRows: MC-approx samples nodes of the previous layer.
-func (m *MCApprox) Axis() Axis { return AxisRows }
-
-// Net returns the wrapped network.
-func (m *MCApprox) Net() *nn.Network { return m.net }
-
-// Timing returns the cumulative phase timings.
-func (m *MCApprox) Timing() Timing { return m.timing }
-
-// ResetTiming zeroes the timings.
-func (m *MCApprox) ResetTiming() { m.timing = Timing{} }
-
-// Step performs one MC-approximated training pass.
-func (m *MCApprox) Step(x *tensor.Matrix, y []int) float64 {
-	t0 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
-	var logits *tensor.Matrix
-	if m.cfg.Where == MCForward || m.cfg.Where == MCBoth {
-		logits = m.forwardApprox(x)
-	} else {
-		logits = m.net.Forward(x)
-	}
-	loss := m.net.Head.Loss(logits, y)
-	t1 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
-
-	if m.cfg.Where == MCForward {
+	m := newLoop("mc", AxisRows, net, optim, g, rowSampled{cfg: cfg})
+	switch cfg.Where {
+	case MCBackward:
+		m.fwd = dense{}
+	case MCForward:
 		// Exact backpropagation through the approximate forward caches.
-		grads := m.net.Backward(logits, y)
-		for i, l := range m.net.Layers {
-			m.optim.Step(i, l.W, l.B, grads[i])
-		}
-	} else {
-		m.backwardApprox(logits, y)
+		m.bwd = dense{}
 	}
-	t2 := time.Now() //lint:ignore wall-clock phase cost accounting (core.Timing); reported, never fed back into training
-	m.timing.Forward += t1.Sub(t0)
-	m.timing.Backward += t2.Sub(t1)
-	return loss
+	return m
 }
 
-// forwardApprox estimates each layer's z = a·W + b by sampling the inner
-// dimension (the previous layer's nodes), then applies the activation
-// exactly. Layer caches are populated with the approximate values, which
-// is precisely the error-compounding mechanism Theorem 7.2 analyzes.
-func (m *MCApprox) forwardApprox(x *tensor.Matrix) *tensor.Matrix {
-	a := x
-	for _, l := range m.net.Layers {
-		l.In = a
-		l.Z = m.estimateProduct(a, l.W, m.g)
-		l.Z.AddRowVector(l.B)
-		l.A = l.Act.Forward(l.Z)
-		a = l.A
-	}
-	return a
+// forward estimates z = x·W + b by sampling the inner dimension (the
+// previous layer's nodes), then applies the activation exactly. The
+// layer caches hold the approximate values, which is precisely the
+// error-compounding mechanism Theorem 7.2 analyzes. The paper's
+// backward-only MC-approx never trains through it; the probe runs it to
+// show what error it *would* compound (the §10.1 rationale).
+func (m rowSampled) forward(_ int, l *nn.Layer, x *tensor.Matrix, g *rng.RNG, _ *layerScratch) *tensor.Matrix {
+	l.In = x
+	l.Z = m.estimateProduct(x, l.W, g)
+	l.Z.AddRowVector(l.B)
+	l.A = l.Act.Forward(l.Z)
+	return l.A
 }
 
-// ApproxForward estimates every layer's product by column-row sampling
-// drawn from g, without writing the layer caches. For the paper's
-// backward-only MC-approx this is a counterfactual: the probe uses it to
-// show what feedforward error the estimator *would* compound (the §10.1
-// rationale for keeping the forward pass exact), while the MCForward and
-// MCBoth ablations actually train through it.
-func (m *MCApprox) ApproxForward(x *tensor.Matrix, g *rng.RNG) []*tensor.Matrix {
-	out := make([]*tensor.Matrix, len(m.net.Layers))
-	act := x
-	for i, l := range m.net.Layers {
-		z := m.estimateProduct(act, l.W, g)
-		z.AddRowVector(l.B)
-		act = l.Act.Forward(z)
-		out[i] = act
+// products estimates both backward products; the input layer's
+// ∂L/∂a_prev is neither needed nor drawn for.
+func (m rowSampled) products(i int, l *nn.Layer, delta *tensor.Matrix, g *rng.RNG, _ *layerScratch) (nn.Grads, []int, *tensor.Matrix) {
+	grads := m.estimateGradW(l, delta, g)
+	var dPrev *tensor.Matrix
+	if i > 0 {
+		dPrev = m.estimateDeltaPrev(l, delta, g)
 	}
-	return out
+	return grads, nil, dPrev
 }
 
 // samplePairs draws shared-dimension indices and their rescaling factors
 // according to the configured estimator, using g for randomness. Indices
-// may repeat only in the scales (duplicate CR draws are merged). The RNG
-// is an explicit parameter so diagnostic passes (the error-compounding
-// probe) can sample without perturbing the training stream.
-func (m *MCApprox) samplePairs(w []float64, k int, g *rng.RNG) (idx []int, scales []float64) {
+// may repeat only in the scales (duplicate CR draws are merged).
+func (m rowSampled) samplePairs(w []float64, k int, g *rng.RNG) (idx []int, scales []float64) {
 	switch m.cfg.Estimator {
 	case MCCR:
 		table, err := rng.NewAlias(w)
@@ -249,7 +189,7 @@ func (m *MCApprox) samplePairs(w []float64, k int, g *rng.RNG) (idx []int, scale
 
 // estimateProduct returns the sampled estimate of a·b over their shared
 // dimension, drawing the sample from g.
-func (m *MCApprox) estimateProduct(a, b *tensor.Matrix, g *rng.RNG) *tensor.Matrix {
+func (m rowSampled) estimateProduct(a, b *tensor.Matrix, g *rng.RNG) *tensor.Matrix {
 	defer trace.Active().Begin("amm", "product").WithArg("k", int64(m.cfg.K)).End()
 	// Pair weights over the shared dimension.
 	ca := a.ColNorms()
@@ -273,38 +213,18 @@ func (m *MCApprox) estimateProduct(a, b *tensor.Matrix, g *rng.RNG) *tensor.Matr
 	return out
 }
 
-// backwardApprox runs backpropagation with both per-layer products
-// estimated by column-row sampling.
-func (m *MCApprox) backwardApprox(logits *tensor.Matrix, y []int) {
-	layers := m.net.Layers
-	delta := m.net.Head.Delta(logits, y)
-	for i := len(layers) - 1; i >= 0; i-- {
-		l := layers[i]
-		grads := m.estimateGradW(l, delta)
-		var dPrev *tensor.Matrix
-		if i > 0 {
-			dPrev = m.estimateDeltaPrev(l, delta)
-		}
-		m.optim.Step(i, l.W, l.B, grads)
-		if i > 0 {
-			below := layers[i-1]
-			delta = applyDerivative(below, dPrev)
-		}
-	}
-}
-
 // estimateGradW estimates ∂L/∂W = Inᵀ·delta by sampling the batch
 // dimension: pair weights are ||In_row_i||·||delta_row_i||. With batch
 // size ≤ K the estimate is exact (every pair kept), reproducing the
 // paper's observation that the stochastic setting gets no benefit here.
-func (m *MCApprox) estimateGradW(l *nn.Layer, delta *tensor.Matrix) nn.Grads {
+func (m rowSampled) estimateGradW(l *nn.Layer, delta *tensor.Matrix, g *rng.RNG) nn.Grads {
 	defer trace.Active().Begin("amm", "grad-w").WithArg("k", int64(m.cfg.K)).End()
 	batch := delta.Rows
 	w := make([]float64, batch)
 	for i := 0; i < batch; i++ {
 		w[i] = tensor.Norm(l.In.RowView(i)) * tensor.Norm(delta.RowView(i))
 	}
-	idx, scales := m.samplePairs(w, m.cfg.K, m.g)
+	idx, scales := m.samplePairs(w, m.cfg.K, g)
 	gw := tensor.New(l.FanIn(), l.FanOut())
 	gb := make([]float64, l.FanOut())
 	for s, i := range idx {
@@ -325,7 +245,7 @@ func (m *MCApprox) estimateGradW(l *nn.Layer, delta *tensor.Matrix) nn.Grads {
 // layer's nodes: pair weights are ||delta[:,j]||·||W[:,j]||. Computing
 // the W column norms costs a full pass over W per step — the fixed
 // overhead that dominates when the batch is small (§9.3).
-func (m *MCApprox) estimateDeltaPrev(l *nn.Layer, delta *tensor.Matrix) *tensor.Matrix {
+func (m rowSampled) estimateDeltaPrev(l *nn.Layer, delta *tensor.Matrix, g *rng.RNG) *tensor.Matrix {
 	defer trace.Active().Begin("amm", "grad-prev").WithArg("k", int64(m.cfg.K)).End()
 	cd := delta.ColNorms()
 	cw := l.W.ColNorms()
@@ -333,7 +253,7 @@ func (m *MCApprox) estimateDeltaPrev(l *nn.Layer, delta *tensor.Matrix) *tensor.
 	for j := range w {
 		w[j] = cd[j] * cw[j]
 	}
-	idx, scales := m.samplePairs(w, m.cfg.K, m.g)
+	idx, scales := m.samplePairs(w, m.cfg.K, g)
 	out := tensor.New(delta.Rows, l.FanIn())
 	col := make([]float64, l.FanIn())
 	for s, j := range idx {

@@ -211,12 +211,10 @@ func NewCoordinator(m core.Method, ds *dataset.Dataset, batchSize int, opts Opti
 		Run:       opts.Run,
 		SnapEvery: opts.SnapshotEvery,
 	}
-	if oh, ok := m.(core.OptimizerHolder); ok {
-		o := oh.Optimizer()
-		c.welcome.Optimizer = o.Name()
-		if adj, ok := o.(opt.LRAdjuster); ok {
-			c.welcome.LR = adj.LearningRate()
-		}
+	o := m.Optimizer()
+	c.welcome.Optimizer = o.Name()
+	if adj, ok := o.(opt.LRAdjuster); ok {
+		c.welcome.LR = adj.LearningRate()
 	}
 	if opts.Workers > 0 {
 		if err := parseHostPort(opts.ListenAddr); err != nil {

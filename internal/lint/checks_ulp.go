@@ -5,23 +5,22 @@ import (
 	"strings"
 )
 
-// checkULPBound flags calls to the ULP-comparison helpers
-// (tensor.EqualWithinULP32, tensor.ULPDistance32, anything whose name
-// mentions ULP) in non-test library code. A ULP predicate is a relaxed
-// equality: it accepts results that differ from the reference, which is
-// exactly what the float64 kernels' bit-identity contract forbids.
-// Legitimate uses — the float32 path's documented accuracy bound, bench
-// diagnostics — must carry a //lint:ignore ulp-bound annotation stating
-// which contract licenses the relaxation. internal/tensor itself is
-// exempt as the definition site, mirroring internal/atomicfile under
-// the atomicwrite check.
+// checkULPBound flags calls to ULP-comparison helpers (anything whose
+// name mentions ULP) in non-test library code. A ULP predicate is a
+// relaxed equality: it accepts results that differ from the reference,
+// which is exactly what the float64 kernels' bit-identity contract
+// forbids. A legitimate use — a reduced-precision path with a documented
+// accuracy bound, a bench diagnostic — must carry a //lint:ignore
+// ulp-bound annotation stating which contract licenses the relaxation.
+// internal/tensor itself is exempt as the place such helpers would be
+// defined, mirroring internal/atomicfile under the atomicwrite check.
 func checkULPBound() *Check {
 	const name = "ulp-bound"
 	return &Check{
 		Name: name,
 		Doc: "flag ULP-tolerance comparisons outside tests and internal/tensor; " +
-			"a ULP bound relaxes the bit-identity contract and each site must " +
-			"annotate which accuracy contract (DESIGN.md §13) licenses it",
+			"a ULP bound relaxes the bit-identity contract (DESIGN.md §13) and " +
+			"each site must annotate which accuracy contract licenses it",
 		Run: func(_ *Program, pkg *Package) []Diagnostic {
 			// internal/tensor defines the helpers; internal/lint defines
 			// this analyzer (whose own constructor mentions ULP).

@@ -8,7 +8,7 @@
 // exactly what the probe checks.
 //
 // Every Every batches the probe replays the method's approximate forward
-// pass (core.ApproxForwarder) and the exact forward side by side on one
+// pass (core.Method.ApproxForward) and the exact forward side by side on one
 // fixed minibatch, and reports per-layer relative errors, the fitted
 // per-layer growth factor, and the theory curve for comparison. The
 // probe owns its RNG stream, and ApproxForward implementations are
@@ -20,7 +20,6 @@ import (
 	"math"
 
 	"samplednn/internal/core"
-	"samplednn/internal/nn"
 	"samplednn/internal/obs/trace"
 	"samplednn/internal/rng"
 	"samplednn/internal/tensor"
@@ -58,8 +57,7 @@ type Measurement struct {
 // no-op: Tick returns (nil, false) after one nil check, so the trainer
 // holds a *Probe unconditionally and pays nothing when disabled.
 type Probe struct {
-	af    core.ApproxForwarder
-	net   *nn.Network
+	m     core.Method
 	x     *tensor.Matrix
 	g     *rng.RNG
 	every int
@@ -68,15 +66,14 @@ type Probe struct {
 
 // New builds a probe over the method's approximate forward pass, firing
 // every `every` batches on the fixed minibatch x. It returns nil when
-// the method does not implement core.ApproxForwarder (exact training has
-// no approximation to probe), when every <= 0, or when x is empty —
-// callers use the nil probe as the disabled state.
+// the method samples nothing (exact training has no approximation to
+// probe), when every <= 0, or when x is empty — callers use the nil
+// probe as the disabled state.
 func New(m core.Method, x *tensor.Matrix, every int, seed uint64) *Probe {
-	af, ok := m.(core.ApproxForwarder)
-	if !ok || every <= 0 || x == nil || x.Rows == 0 {
+	if m.Axis() == core.AxisNone || every <= 0 || x == nil || x.Rows == 0 {
 		return nil
 	}
-	return &Probe{af: af, net: m.Net(), x: x, g: rng.New(seed), every: every}
+	return &Probe{m: m, x: x, g: rng.New(seed), every: every}
 }
 
 // Tick advances the batch counter and, when the cadence fires, runs one
@@ -99,9 +96,9 @@ func (p *Probe) Tick() (*Measurement, bool) {
 // the cadence. The Batch field is left zero.
 func (p *Probe) Measure() *Measurement {
 	defer trace.Active().Begin("probe", "measure").End()
-	layers := p.net.Layers
-	exact := p.net.InferForwardLayers(p.x)
-	approx := p.af.ApproxForward(p.x, p.g)
+	layers := p.m.Net().Layers
+	exact := p.m.Net().InferForwardLayers(p.x)
+	approx := p.m.ApproxForward(p.x, p.g)
 
 	m := &Measurement{
 		RelErr:   make([]float64, len(layers)),

@@ -27,7 +27,7 @@ func task(seed uint64, n, dim, classes int) (*tensor.Matrix, []int) {
 	return x, y
 }
 
-func deepALSH(t *testing.T, seed uint64, depth int) *core.ALSHApprox {
+func deepALSH(t *testing.T, seed uint64, depth int) core.Method {
 	t.Helper()
 	net, err := nn.NewNetwork(nn.Uniform(8, 64, depth, 4), rng.New(seed))
 	if err != nil {
@@ -154,41 +154,45 @@ func TestTickCadence(t *testing.T) {
 // TestProbeDoesNotPerturbTraining trains two identically seeded ALSH
 // methods, one probed heavily and one not, and requires byte-identical
 // weights: the probe must never consume the training RNG stream or
-// mutate method state. Training runs stochastic (batch size 1) — the
-// sequential ALSH multi-row union iterates a map, whose random order
-// perturbs low-order float bits between runs independently of the probe.
+// mutate method state. It runs both stochastic and mini-batch: the
+// multi-row union of the per-row lookups is ordered, so nothing but the
+// probe could make the twins differ.
 func TestProbeDoesNotPerturbTraining(t *testing.T) {
 	x, y := task(5, 60, 8, 4)
-	plain := deepALSH(t, 6, 3)
-	probed := deepALSH(t, 6, 3)
-	pr := New(probed, x, 1, 13)
+	for _, batch := range []int{1, 20} {
+		plain := deepALSH(t, 6, 3)
+		probed := deepALSH(t, 6, 3)
+		pr := New(probed, x, 1, 13)
 
-	g1, g2 := rng.New(42), rng.New(42)
-	bx := tensor.New(1, x.Cols)
-	by := make([]int, 1)
-	stepFrom := func(m core.Method, g *rng.RNG) {
-		j := g.IntN(x.Rows)
-		copy(bx.RowView(0), x.RowView(j))
-		by[0] = y[j]
-		m.Step(bx, by)
-	}
-	for s := 0; s < 30; s++ {
-		stepFrom(plain, g1)
-		stepFrom(probed, g2)
-		if _, ok := pr.Tick(); !ok {
-			t.Fatal("probe with every=1 must fire each batch")
+		g1, g2 := rng.New(42), rng.New(42)
+		bx := tensor.New(batch, x.Cols)
+		by := make([]int, batch)
+		stepFrom := func(m core.Method, g *rng.RNG) {
+			for i := 0; i < batch; i++ {
+				j := g.IntN(x.Rows)
+				copy(bx.RowView(i), x.RowView(j))
+				by[i] = y[j]
+			}
+			m.Step(bx, by)
 		}
-	}
-	for li, l := range plain.Net().Layers {
-		pl := probed.Net().Layers[li]
-		for k := range l.W.Data {
-			if l.W.Data[k] != pl.W.Data[k] {
-				t.Fatalf("layer %d weight %d differs: probe perturbed training", li, k)
+		for s := 0; s < 30; s++ {
+			stepFrom(plain, g1)
+			stepFrom(probed, g2)
+			if _, ok := pr.Tick(); !ok {
+				t.Fatal("probe with every=1 must fire each batch")
 			}
 		}
-		for k := range l.B {
-			if l.B[k] != pl.B[k] {
-				t.Fatalf("layer %d bias %d differs: probe perturbed training", li, k)
+		for li, l := range plain.Net().Layers {
+			pl := probed.Net().Layers[li]
+			for k := range l.W.Data {
+				if l.W.Data[k] != pl.W.Data[k] {
+					t.Fatalf("batch %d: layer %d weight %d differs: probe perturbed training", batch, li, k)
+				}
+			}
+			for k := range l.B {
+				if l.B[k] != pl.B[k] {
+					t.Fatalf("batch %d: layer %d bias %d differs: probe perturbed training", batch, li, k)
+				}
 			}
 		}
 	}

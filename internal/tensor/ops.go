@@ -37,8 +37,8 @@ func MatMulInto(out, a, b *Matrix) {
 	}
 	k, n := a.Cols, b.Cols
 	if usePacked(a.Rows, k, n) {
-		av := gview[float64]{data: a.Data, rs: a.Cols, cs: 1}
-		bv := gview[float64]{data: b.Data, rs: b.Cols, cs: 1}
+		av := gview{data: a.Data, rs: a.Cols, cs: 1}
+		bv := gview{data: b.Data, rs: b.Cols, cs: 1}
 		ParallelRowsCost(a.Rows, gemmRowCost(k, n), func(lo, hi int) {
 			packedGEMM(out.Data, out.Cols, av, bv, k, n, lo, hi, nil)
 		})
@@ -109,9 +109,9 @@ func MatMulTransBInto(out, a, b *Matrix) {
 	}
 	if usePacked(a.Rows, a.Cols, b.Rows) {
 		k, n := a.Cols, b.Rows
-		av := gview[float64]{data: a.Data, rs: a.Cols, cs: 1}
+		av := gview{data: a.Data, rs: a.Cols, cs: 1}
 		// bᵀ element (k, j) is b[j][k].
-		bv := gview[float64]{data: b.Data, rs: 1, cs: b.Cols}
+		bv := gview{data: b.Data, rs: 1, cs: b.Cols}
 		ParallelRowsCost(a.Rows, gemmRowCost(k, n), func(lo, hi int) {
 			packedGEMM(out.Data, out.Cols, av, bv, k, n, lo, hi, nil)
 		})
@@ -164,8 +164,8 @@ func MatMulTransAInto(out, a, b *Matrix) {
 	if usePacked(a.Cols, a.Rows, b.Cols) {
 		k, n := a.Rows, b.Cols
 		// aᵀ element (i, k) is a[k][i].
-		av := gview[float64]{data: a.Data, rs: 1, cs: a.Cols}
-		bv := gview[float64]{data: b.Data, rs: b.Cols, cs: 1}
+		av := gview{data: a.Data, rs: 1, cs: a.Cols}
+		bv := gview{data: b.Data, rs: b.Cols, cs: 1}
 		ParallelRowsCost(a.Cols, gemmRowCost(k, n), func(lo, hi int) {
 			packedGEMM(out.Data, out.Cols, av, bv, k, n, lo, hi, nil)
 		})
@@ -214,8 +214,8 @@ func MatMulCols(out, a, b *Matrix, cols []int) {
 	}
 	if usePacked(a.Rows, a.Cols, len(cols)) {
 		k, n := a.Cols, len(cols)
-		av := gview[float64]{data: a.Data, rs: a.Cols, cs: 1}
-		bv := gview[float64]{data: b.Data, rs: b.Cols, cs: 1}
+		av := gview{data: a.Data, rs: a.Cols, cs: 1}
+		bv := gview{data: b.Data, rs: b.Cols, cs: 1}
 		ParallelRowsCost(a.Rows, gemmRowCost(k, n), func(lo, hi int) {
 			packedGEMM(out.Data, out.Cols, av, bv, k, n, lo, hi, cols)
 		})

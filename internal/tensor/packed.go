@@ -24,14 +24,14 @@ import (
 //     instead of once per output element.
 //   - A register-blocked micro-kernel (microMR×microNR accumulators held
 //     in locals, k unrolled by four) does all the arithmetic over the
-//     packed strips. The float64 kernel accumulates with math.FMA — a
+//     packed strips. The kernel accumulates with math.FMA — a
 //     single fused instruction under GOAMD64=v3, and a bit-identical
 //     softfloat fallback everywhere else — so the value is
 //     host-independent while the throughput scales with the ISA the
 //     binary was compiled for.
 //
-// Numerics contract: for every output element the packed float64 path
-// computes exactly
+// Numerics contract: for every output element the packed path computes
+// exactly
 //
 //	s = 0; for k ascending: s = math.FMA(a[i][k], b[k][j], s)
 //
@@ -39,9 +39,7 @@ import (
 // store the running sum to out and reload it (a float64 round trip is
 // exact), MC/NC boundaries touch only *which* elements a tile owns, and
 // row chunks never split a k chain — so results are bit-identical for
-// any worker count and any block configuration. The float32 kernel uses
-// plain multiply-then-add (math.FMA is float64-only) and satisfies the
-// same chain contract in float32 arithmetic.
+// any worker count and any block configuration.
 //
 // Zero entries are never skipped: 0·NaN and 0·Inf must propagate so the
 // trainer's divergence rollback fires (same contract as axpy/dot).
@@ -114,18 +112,11 @@ func roundUp(v, to int) int {
 	return (v + to - 1) / to * to
 }
 
-// Float is the element-type constraint of the packed kernels. Exact
-// types only: the micro-kernel dispatch relies on the dynamic types
-// []float64 / []float32.
-type Float interface {
-	float32 | float64
-}
-
 // gview is a strided read-only view of one GEMM operand: element (r, c)
 // is data[r*rs + c*cs]. It expresses plain, transposed, and (together
 // with a column gather in packB) column-subset operands without copies.
-type gview[T Float] struct {
-	data   []T
+type gview struct {
+	data   []float64
 	rs, cs int
 }
 
@@ -139,30 +130,15 @@ func usePacked(m, k, n int) bool {
 // packBufs holds one goroutine's packed-panel scratch between pool
 // trips; packedGEMM borrows a pair per call so parallel chunks never
 // share buffers.
-type packBufs[T Float] struct {
-	a, b []T
+type packBufs struct {
+	a, b []float64
 }
 
-var (
-	packPool64 = sync.Pool{New: func() any { return new(packBufs[float64]) }}
-	packPool32 = sync.Pool{New: func() any { return new(packBufs[float32]) }}
-)
+var packPool = sync.Pool{New: func() any { return new(packBufs) }}
 
-// getPackBufs borrows a scratch pair for T; release returns it.
-func getPackBufs[T Float]() (bufs *packBufs[T], release func()) {
-	switch any(T(0)).(type) {
-	case float64:
-		p := packPool64.Get().(*packBufs[float64])
-		return any(p).(*packBufs[T]), func() { packPool64.Put(p) }
-	default:
-		p := packPool32.Get().(*packBufs[float32])
-		return any(p).(*packBufs[T]), func() { packPool32.Put(p) }
-	}
-}
-
-func growSlice[T Float](s []T, n int) []T {
+func growSlice(s []float64, n int) []float64 {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]float64, n)
 	}
 	return s[:n]
 }
@@ -172,7 +148,7 @@ func growSlice[T Float](s []T, n int) []T {
 // k-major so the micro-kernel reads microMR values per k step. Rows past
 // mcb are zero-padded; the padded lanes compute garbage that the masked
 // store never reads.
-func packA[T Float](dst []T, a gview[T], ic, mcb, pc, kcb int) {
+func packA(dst []float64, a gview, ic, mcb, pc, kcb int) {
 	for s := 0; s < mcb; s += microMR {
 		strip := dst[(s/microMR)*kcb*microMR:]
 		rows := min(microMR, mcb-s)
@@ -199,7 +175,7 @@ func packA[T Float](dst []T, a gview[T], ic, mcb, pc, kcb int) {
 // non-nil, logical column j reads physical column cols[j] — the single
 // gather the column-subset kernels pay per panel. Columns past ncb are
 // zero-padded.
-func packB[T Float](dst []T, b gview[T], pc, kcb, jc, ncb int, cols []int) {
+func packB(dst []float64, b gview, pc, kcb, jc, ncb int, cols []int) {
 	for s := 0; s < ncb; s += microNR {
 		strip := dst[(s/microNR)*kcb*microNR:]
 		w := min(microNR, ncb-s)
@@ -231,24 +207,12 @@ func packB[T Float](dst []T, b gview[T], pc, kcb, jc, ncb int, cols []int) {
 }
 
 // microAcc is the micro-kernel accumulator tile, row-major microMR×microNR.
-type microAcc[T Float] [microMR * microNR]T
-
-// microKernel returns the register-blocked inner kernel for T.
-func microKernel[T Float]() func(kc int, ap, bp []T, acc *microAcc[T]) {
-	var f any
-	switch any(T(0)).(type) {
-	case float64:
-		f = micro64
-	default:
-		f = micro32
-	}
-	return f.(func(int, []T, []T, *microAcc[T]))
-}
+type microAcc [microMR * microNR]float64
 
 // micro64 accumulates a microMR×microNR tile over kc packed steps with
 // fused multiply-adds, k unrolled by four. Each accumulator's chain is
 // strictly k-ascending — the numerics contract of the file header.
-func micro64(kc int, ap, bp []float64, acc *microAcc[float64]) {
+func micro64(kc int, ap, bp []float64, acc *microAcc) {
 	c00, c01, c02, c03 := acc[0], acc[1], acc[2], acc[3]
 	c10, c11, c12, c13 := acc[4], acc[5], acc[6], acc[7]
 	p := 0
@@ -307,74 +271,6 @@ func micro64(kc int, ap, bp []float64, acc *microAcc[float64]) {
 		c11 = math.FMA(a1, b1, c11)
 		c12 = math.FMA(a1, b2, c12)
 		c13 = math.FMA(a1, b3, c13)
-		ap = ap[2:]
-		bp = bp[4:]
-	}
-	acc[0], acc[1], acc[2], acc[3] = c00, c01, c02, c03
-	acc[4], acc[5], acc[6], acc[7] = c10, c11, c12, c13
-}
-
-// micro32 is the float32 tile kernel: plain multiply-then-add (math.FMA
-// is float64-only), same k-ascending chains, same unrolling.
-func micro32(kc int, ap, bp []float32, acc *microAcc[float32]) {
-	c00, c01, c02, c03 := acc[0], acc[1], acc[2], acc[3]
-	c10, c11, c12, c13 := acc[4], acc[5], acc[6], acc[7]
-	p := 0
-	for ; p+4 <= kc; p += 4 {
-		a0, a1 := ap[0], ap[1]
-		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		a0, a1 = ap[2], ap[3]
-		b0, b1, b2, b3 = bp[4], bp[5], bp[6], bp[7]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		a0, a1 = ap[4], ap[5]
-		b0, b1, b2, b3 = bp[8], bp[9], bp[10], bp[11]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		a0, a1 = ap[6], ap[7]
-		b0, b1, b2, b3 = bp[12], bp[13], bp[14], bp[15]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		ap = ap[8:]
-		bp = bp[16:]
-	}
-	for ; p < kc; p++ {
-		a0, a1 := ap[0], ap[1]
-		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
 		ap = ap[2:]
 		bp = bp[4:]
 	}
@@ -386,10 +282,10 @@ func micro32(kc int, ap, bp []float32, acc *microAcc[float32]) {
 // (i0, logical column j0), zeroing padded lanes. On the first KC panel
 // the whole tile starts at zero. cols maps logical to physical output
 // columns (nil = identity).
-func loadTile[T Float](acc *microAcc[T], out []T, ldOut, i0, rows, j0, w int, cols []int, first bool) {
+func loadTile(acc *microAcc, out []float64, ldOut, i0, rows, j0, w int, cols []int, first bool) {
 	for r := 0; r < microMR; r++ {
 		for c := 0; c < microNR; c++ {
-			var v T
+			var v float64
 			if !first && r < rows && c < w {
 				j := j0 + c
 				if cols != nil {
@@ -404,7 +300,7 @@ func loadTile[T Float](acc *microAcc[T], out []T, ldOut, i0, rows, j0, w int, co
 
 // storeTile writes the valid lanes of acc back to out; padded lanes are
 // dropped.
-func storeTile[T Float](acc *microAcc[T], out []T, ldOut, i0, rows, j0, w int, cols []int) {
+func storeTile(acc *microAcc, out []float64, ldOut, i0, rows, j0, w int, cols []int) {
 	for r := 0; r < rows; r++ {
 		for c := 0; c < w; c++ {
 			j := j0 + c
@@ -430,7 +326,7 @@ func storeTile[T Float](acc *microAcc[T], out []T, ldOut, i0, rows, j0, w int, c
 // Parallel sharding hands each chunk a [lo, hi) row range; every other
 // loop bound is global, so per-element chains are chunk-independent (the
 // bit-identity contract).
-func packedGEMM[T Float](out []T, ldOut int, a, b gview[T], kdim, n, lo, hi int, cols []int) {
+func packedGEMM(out []float64, ldOut int, a, b gview, kdim, n, lo, hi int, cols []int) {
 	if hi <= lo || n <= 0 {
 		return
 	}
@@ -452,9 +348,8 @@ func packedGEMM[T Float](out []T, ldOut int, a, b gview[T], kdim, n, lo, hi int,
 		return
 	}
 	cfg := GEMMBlockConfig()
-	micro := microKernel[T]()
-	bufs, release := getPackBufs[T]()
-	defer release()
+	bufs := packPool.Get().(*packBufs)
+	defer packPool.Put(bufs)
 	for jc := 0; jc < n; jc += cfg.NC {
 		ncb := min(cfg.NC, n-jc)
 		nStrips := (ncb + microNR - 1) / microNR
@@ -474,9 +369,9 @@ func packedGEMM[T Float](out []T, ldOut int, a, b gview[T], kdim, n, lo, hi int,
 					for ir := 0; ir < mcb; ir += microMR {
 						as := bufs.a[(ir/microMR)*kcb*microMR:][:kcb*microMR]
 						rows := min(microMR, mcb-ir)
-						var acc microAcc[T]
+						var acc microAcc
 						loadTile(&acc, out, ldOut, ic+ir, rows, jc+jr, w, cols, first)
-						micro(kcb, as, bs, &acc)
+						micro64(kcb, as, bs, &acc)
 						storeTile(&acc, out, ldOut, ic+ir, rows, jc+jr, w, cols)
 					}
 				}

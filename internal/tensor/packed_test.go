@@ -9,9 +9,7 @@ import (
 
 // Property tests for the packed register-blocked GEMM core: every packed
 // kernel is pinned against a naive triple-loop reference implementing
-// the documented summation contract — exact (bit-for-bit) equality on
-// float64, exact equality on float32 against the float32 reference, and
-// a stated ULP bound against the float64 reference.
+// the documented summation contract — exact (bit-for-bit) equality.
 
 // naiveFMA is the float64 reference: an ascending-k fused-multiply-add
 // chain per element, the exact contract of packed.go.
@@ -22,21 +20,6 @@ func naiveFMA(a, b *Matrix) *Matrix {
 			var s float64
 			for k := 0; k < a.Cols; k++ {
 				s = math.FMA(a.Data[i*a.Cols+k], b.Data[k*b.Cols+j], s)
-			}
-			out.Data[i*out.Cols+j] = s
-		}
-	}
-	return out
-}
-
-// naive32 is the float32 reference: ascending-k multiply-then-add.
-func naive32(a, b *Matrix32) *Matrix32 {
-	out := New32(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
-			var s float32
-			for k := 0; k < a.Cols; k++ {
-				s += a.Data[i*a.Cols+k] * b.Data[k*b.Cols+j]
 			}
 			out.Data[i*out.Cols+j] = s
 		}
@@ -193,90 +176,6 @@ func TestPackedNaNPropagation(t *testing.T) {
 				t.Errorf("workers=%d: packed path masked 0*NaN as %v", workers, out.At(0, n/2))
 			}
 		})
-	}
-}
-
-// TestMatMul32ExactVsNaive32 pins the float32 contract: packed float32
-// results equal the naive float32 triple loop bit-for-bit, serial and
-// parallel.
-func TestMatMul32ExactVsNaive32(t *testing.T) {
-	g := rng.New(904)
-	for _, sh := range packedShapes {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := randDense(g, m, k).ToFloat32()
-		b := randDense(g, k, n).ToFloat32()
-		want := naive32(a, b)
-		for _, workers := range []int{1, 3} {
-			withWorkers(workers, func() {
-				got := New32(m, n)
-				MatMul32Into(got, a, b)
-				if !Equal32(got, want) {
-					t.Errorf("MatMul32Into shape %v workers=%d: not bit-equal to naive float32 loop", sh, workers)
-				}
-			})
-		}
-	}
-}
-
-// TestMatMul32AccuracyBoundVsFloat64 pins the stated accuracy contract
-// of the float32 path (DESIGN.md §13): against the float64 product of
-// the same (exactly representable) operands, every element satisfies
-// the recursive-summation bound |err| ≤ k·eps32·Σ_k|a_ik·b_kj|. The
-// bound is on the magnitude sum, not the result — cancellation can make
-// the relative error of a small result arbitrarily large while the
-// absolute bound still holds.
-func TestMatMul32AccuracyBoundVsFloat64(t *testing.T) {
-	const eps32 = 1.0 / (1 << 23)
-	g := rng.New(905)
-	for _, sh := range [][3]int{{64, 64, 64}, {65, 300, 63}} {
-		m, k, n := sh[0], sh[1], sh[2]
-		a32 := randDense(g, m, k).ToFloat32()
-		b32 := randDense(g, k, n).ToFloat32()
-		// Widen the float32 operands so both paths see identical inputs.
-		a64, b64 := a32.ToFloat64(), b32.ToFloat64()
-		ref := MatMul(a64, b64)
-		got := MatMul32(a32, b32)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				var magSum float64
-				for q := 0; q < k; q++ {
-					magSum += math.Abs(a64.At(i, q) * b64.At(q, j))
-				}
-				err := math.Abs(float64(got.At(i, j)) - ref.At(i, j))
-				if bound := float64(k) * eps32 * magSum; err > bound {
-					t.Fatalf("shape %v out[%d,%d]: |err| = %g exceeds k·eps32·Σ|a·b| = %g", sh, i, j, err, bound)
-				}
-			}
-		}
-	}
-}
-
-// TestMatMul32ULPBoundPositiveOperands pins the ULP form of the contract
-// in the regime where it is valid: with positive operands there is no
-// cancellation, the magnitude sum equals the result, and the bound
-// collapses to ~2k ULPs of the reference.
-func TestMatMul32ULPBoundPositiveOperands(t *testing.T) {
-	g := rng.New(909)
-	m, k, n := 64, 128, 64
-	a := New(m, k)
-	b := New(k, n)
-	for i := range a.Data {
-		a.Data[i] = g.Float64() + 0.5
-	}
-	for i := range b.Data {
-		b.Data[i] = g.Float64() + 0.5
-	}
-	a32, b32 := a.ToFloat32(), b.ToFloat32()
-	ref := MatMul(a32.ToFloat64(), b32.ToFloat64())
-	got := MatMul32(a32, b32)
-	if !EqualWithinULP32(got, ref, int64(2*k)) {
-		worst := int64(0)
-		for i := range got.Data {
-			if d := ULPDistance32(got.Data[i], float32(ref.Data[i])); d > worst {
-				worst = d
-			}
-		}
-		t.Errorf("positive-operand float32 product exceeds %d ULP bound (worst %d)", 2*k, worst)
 	}
 }
 

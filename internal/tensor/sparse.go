@@ -77,8 +77,8 @@ func MatMulTransBSparseInto(out, a, b *Matrix, support []int) []int {
 			}
 			switch sg.kind {
 			case segDense:
-				av := gview[float64]{data: a.Data, rs: a.Cols, cs: 1}
-				bv := gview[float64]{data: b.Data, rs: 1, cs: b.Cols}
+				av := gview{data: a.Data, rs: a.Cols, cs: 1}
+				bv := gview{data: b.Data, rs: 1, cs: b.Cols}
 				packedGEMM(out.Data, out.Cols, av, bv, a.Cols, p, slo, shi, nil)
 			case segShared:
 				sharedSupportGEMM(out, a, b, sg.sup, slo, shi)
@@ -121,8 +121,8 @@ func sparsePerRow(out, a, b *Matrix, lo, hi int, sup []int) []int {
 // |rows|×|sup| by (p×|sup|)ᵀ product straight into out's rows.
 func sharedSupportGEMM(out, a, b *Matrix, sup []int, lo, hi int) {
 	rows, ks, p := hi-lo, len(sup), b.Rows
-	bufs, release := getPackBufs[float64]()
-	defer release()
+	bufs := packPool.Get().(*packBufs)
+	defer packPool.Put(bufs)
 	bufs.a = growSlice(bufs.a, rows*ks)
 	for i := 0; i < rows; i++ {
 		arow := a.RowView(lo + i)
@@ -139,8 +139,8 @@ func sharedSupportGEMM(out, a, b *Matrix, sup []int, lo, hi int) {
 			dst[t] = brow[k]
 		}
 	}
-	av := gview[float64]{data: bufs.a, rs: ks, cs: 1}
-	bv := gview[float64]{data: bufs.b, rs: 1, cs: ks} // gathered bᵀ
+	av := gview{data: bufs.a, rs: ks, cs: 1}
+	bv := gview{data: bufs.b, rs: 1, cs: ks} // gathered bᵀ
 	packedGEMM(out.Data[lo*out.Cols:], out.Cols, av, bv, ks, p, 0, rows, nil)
 }
 

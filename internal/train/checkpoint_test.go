@@ -187,24 +187,21 @@ func TestResumeALSHContinues(t *testing.T) {
 	}
 }
 
-// nanMethod wraps a real method and forces NaN losses from a chosen Step
+// nanMethod wraps a real method and forces NaN losses from a chosen TryStep
 // call onward — the crafted divergence of the rollback tests.
 type nanMethod struct {
 	core.Method
 	calls int
 	nanAt int // first call (1-based) that returns NaN
-	optim opt.Optimizer
 }
 
-func (m *nanMethod) Step(x *tensor.Matrix, y []int) float64 {
+func (m *nanMethod) TryStep(x *tensor.Matrix, y []int) (float64, error) {
 	m.calls++
 	if m.calls >= m.nanAt {
-		return math.NaN()
+		return math.NaN(), nil
 	}
-	return m.Method.Step(x, y)
+	return m.Method.TryStep(x, y)
 }
-
-func (m *nanMethod) Optimizer() opt.Optimizer { return m.optim }
 
 func TestDivergenceRollbackDecaysLRThenGivesUp(t *testing.T) {
 	ds := tinyDataset(t, 70) // 160 train samples, batch 10 → 16 steps/epoch
@@ -216,7 +213,7 @@ func TestDivergenceRollbackDecaysLRThenGivesUp(t *testing.T) {
 	inner := core.NewStandard(net, sgd)
 	// NaN from call 20 onward: epoch 1 (16 calls) is clean, epoch 2
 	// diverges at its 4th batch, and every retry diverges immediately.
-	m := &nanMethod{Method: inner, nanAt: 20, optim: sgd}
+	m := &nanMethod{Method: inner, nanAt: 20}
 	tr, err := New(m, ds, Config{Epochs: 6, BatchSize: 10, Seed: 72, MaxRetries: 2, LRDecay: 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -401,12 +398,12 @@ type cancellingMethod struct {
 	cancel   context.CancelFunc
 }
 
-func (c *cancellingMethod) Step(x *tensor.Matrix, y []int) float64 {
+func (c *cancellingMethod) TryStep(x *tensor.Matrix, y []int) (float64, error) {
 	c.calls++
 	if c.calls == c.cancelAt {
 		c.cancel()
 	}
-	return c.Method.Step(x, y)
+	return c.Method.TryStep(x, y)
 }
 
 func TestCheckpointCorruptionIsRejected(t *testing.T) {

@@ -139,3 +139,46 @@ func TestTraceGoldenSchema(t *testing.T) {
 		t.Fatalf("trace span vocabulary drifted from golden:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
+
+// TestRebuildPerEpochReachesEveryALSHVariant counts lsh/rebuild spans
+// (one per index per full rebuild, emitted by the same call that bumps
+// lsh's Stats counter): with RebuildPerEpoch every hidden layer's index
+// must be rebuilt once at construction and once more after each epoch —
+// for the parallel variant too, which the trainer used to skip because
+// it looked for the sequential stepper's concrete type.
+func TestRebuildPerEpochReachesEveryALSHVariant(t *testing.T) {
+	const epochs, hidden = 3, 2
+	for _, name := range []string{"alsh", "alsh-parallel"} {
+		trc := trace.New(0)
+		trace.SetActive(trc)
+		ds := tinyDataset(t, 85)
+		tr, err := New(tinyMethod(t, name, ds, 86), ds, Config{
+			Epochs: epochs, BatchSize: 10, Seed: 87, RebuildPerEpoch: true,
+		})
+		if err == nil {
+			_, err = tr.Run()
+		}
+		trace.SetActive(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := trc.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc tracedoc
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		rebuilds := 0
+		for _, e := range doc.TraceEvents {
+			if e.Cat == "lsh" && e.Name == "rebuild" {
+				rebuilds++
+			}
+		}
+		if want := hidden * (1 + epochs); rebuilds != want {
+			t.Errorf("%s: %d index rebuilds over %d epochs, want %d (construction + one per epoch, per hidden layer)",
+				name, rebuilds, epochs, want)
+		}
+	}
+}

@@ -423,9 +423,7 @@ func (t *Trainer) run(ctx context.Context, start *Checkpoint) (*History, error) 
 			}
 		}
 		if t.cfg.RebuildPerEpoch {
-			if a, ok := t.method.(*core.ALSHApprox); ok {
-				a.RebuildAll()
-			}
+			t.method.RebuildIndexes()
 		}
 
 		if diverged {
@@ -481,7 +479,7 @@ func (t *Trainer) run(ctx context.Context, start *Checkpoint) (*History, error) 
 			t.emitEpoch(stats, true, useVal)
 			break
 		}
-		stats.TestAccuracy = metrics.Accuracy(evalY, core.Predict(t.method, evalX))
+		stats.TestAccuracy = metrics.Accuracy(evalY, t.method.PredictBatch(evalX))
 		gAcc.Set(stats.TestAccuracy)
 		if t.cfg.CheckpointPath != "" && stats.TestAccuracy > rs.bestAcc {
 			rs.bestAcc = stats.TestAccuracy
@@ -493,7 +491,7 @@ func (t *Trainer) run(ctx context.Context, start *Checkpoint) (*History, error) 
 			})
 		}
 		if useVal {
-			stats.ValAccuracy = metrics.Accuracy(t.data.Val.Y, core.Predict(t.method, t.data.Val.X))
+			stats.ValAccuracy = metrics.Accuracy(t.data.Val.Y, t.method.PredictBatch(t.data.Val.X))
 		}
 		hist.Epochs = append(hist.Epochs, stats)
 		t.emitEpoch(stats, false, useVal)
@@ -567,12 +565,10 @@ func (t *Trainer) emitRunStart(resumed bool) {
 		"max_retries": t.cfg.MaxRetries,
 		"resumed":     resumed,
 	}
-	if oh, ok := t.method.(core.OptimizerHolder); ok {
-		o := oh.Optimizer()
-		fields["optimizer"] = o.Name()
-		if adj, ok := o.(opt.LRAdjuster); ok {
-			fields["lr"] = adj.LearningRate()
-		}
+	o := t.method.Optimizer()
+	fields["optimizer"] = o.Name()
+	if adj, ok := o.(opt.LRAdjuster); ok {
+		fields["lr"] = adj.LearningRate()
 	}
 	t.cfg.Journal.Emit("run-start", fields)
 }
@@ -601,8 +597,8 @@ func (t *Trainer) emitEpoch(stats EpochStats, diverged, useVal bool) {
 		fields["alloc_bytes"] = stats.AllocBytes
 		fields["heap_bytes"] = stats.HeapBytes
 	}
-	if sr, ok := t.method.(core.SamplingReporter); ok {
-		fields["sampling"] = sr.SamplingSnapshot()
+	if s := t.method.SamplingSnapshot(); s != nil {
+		fields["sampling"] = s
 	}
 	t.cfg.Journal.Emit("epoch", fields)
 }
@@ -676,37 +672,27 @@ func (t *Trainer) emitProbe(epoch int, m *probe.Measurement) {
 }
 
 // currentLR reports the optimizer's learning rate, or nil when the
-// method does not expose an adjustable optimizer.
+// optimizer's rate is not adjustable.
 func (t *Trainer) currentLR() any {
-	if oh, ok := t.method.(core.OptimizerHolder); ok {
-		if adj, ok := oh.Optimizer().(opt.LRAdjuster); ok {
-			return adj.LearningRate()
-		}
+	if adj, ok := t.method.Optimizer().(opt.LRAdjuster); ok {
+		return adj.LearningRate()
 	}
 	return nil
 }
 
 // stepAt trains on one batch: through the configured BatchStepper when
-// one is set, otherwise locally — preferring the error-aware path when
-// the method provides one.
+// one is set, otherwise locally on the method's error-aware path.
 func (t *Trainer) stepAt(pos StepPos, x *tensor.Matrix, y []int, state StateFunc) (float64, error) {
 	if t.cfg.Stepper != nil {
 		return t.cfg.Stepper.StepBatch(pos, x, y, state)
 	}
-	if fs, ok := t.method.(core.FallibleStepper); ok {
-		return fs.TryStep(x, y)
-	}
-	return t.method.Step(x, y), nil
+	return t.method.TryStep(x, y)
 }
 
 // decayLR multiplies the learning rate by the configured decay factor.
 // It reports whether the optimizer supported the adjustment.
 func (t *Trainer) decayLR() bool {
-	oh, ok := t.method.(core.OptimizerHolder)
-	if !ok {
-		return false
-	}
-	adj, ok := oh.Optimizer().(opt.LRAdjuster)
+	adj, ok := t.method.Optimizer().(opt.LRAdjuster)
 	if !ok {
 		return false
 	}
@@ -738,28 +724,24 @@ func (t *Trainer) capture(g *rng.RNG, batcher *dataset.Batcher, hist *History, r
 		NetBlob:    netBuf.Bytes(),
 		MethodName: t.method.Name(),
 	}
-	if oh, ok := t.method.(core.OptimizerHolder); ok {
-		o := oh.Optimizer()
-		ck.OptimizerName = o.Name()
-		if ss, ok := o.(opt.StateSaver); ok {
-			var b bytes.Buffer
-			if err := ss.SaveState(&b); err != nil {
-				return nil, fmt.Errorf("serializing %s state: %w", o.Name(), err)
-			}
-			ck.OptimizerState = b.Bytes()
-		}
-		if adj, ok := o.(opt.LRAdjuster); ok {
-			ck.HasLR = true
-			ck.LR = adj.LearningRate()
-		}
-	}
-	if rm, ok := t.method.(core.Resumable); ok {
+	o := t.method.Optimizer()
+	ck.OptimizerName = o.Name()
+	if ss, ok := o.(opt.StateSaver); ok {
 		var b bytes.Buffer
-		if err := rm.SaveState(&b); err != nil {
-			return nil, fmt.Errorf("serializing method state: %w", err)
+		if err := ss.SaveState(&b); err != nil {
+			return nil, fmt.Errorf("serializing %s state: %w", o.Name(), err)
 		}
-		ck.MethodState = b.Bytes()
+		ck.OptimizerState = b.Bytes()
 	}
+	if adj, ok := o.(opt.LRAdjuster); ok {
+		ck.HasLR = true
+		ck.LR = adj.LearningRate()
+	}
+	var b bytes.Buffer
+	if err := t.method.SaveState(&b); err != nil {
+		return nil, fmt.Errorf("serializing method state: %w", err)
+	}
+	ck.MethodState = b.Bytes()
 	return ck, nil
 }
 
@@ -789,34 +771,26 @@ func (t *Trainer) restore(ck *Checkpoint, g *rng.RNG, batcher *dataset.Batcher, 
 		copy(curL.W.Data, l.W.Data)
 		copy(curL.B, l.B)
 	}
-	if oh, ok := t.method.(core.OptimizerHolder); ok {
-		o := oh.Optimizer()
-		if ck.OptimizerName != "" && o.Name() != ck.OptimizerName {
-			return fmt.Errorf("train: checkpoint was taken with optimizer %q, trainer uses %q", ck.OptimizerName, o.Name())
-		}
-		if ss, ok := o.(opt.StateSaver); ok {
-			if err := ss.LoadState(bytes.NewReader(ck.OptimizerState)); err != nil {
-				return fmt.Errorf("train: restoring %s state: %w", o.Name(), err)
-			}
-		} else if len(ck.OptimizerState) > 0 {
-			return fmt.Errorf("train: checkpoint carries %s state but the optimizer cannot load it", ck.OptimizerName)
-		}
-		if restoreLR && ck.HasLR {
-			if adj, ok := o.(opt.LRAdjuster); ok {
-				adj.SetLearningRate(ck.LR)
-			}
+	o := t.method.Optimizer()
+	if ck.OptimizerName != "" && o.Name() != ck.OptimizerName {
+		return fmt.Errorf("train: checkpoint was taken with optimizer %q, trainer uses %q", ck.OptimizerName, o.Name())
+	}
+	if ss, ok := o.(opt.StateSaver); ok {
+		if err := ss.LoadState(bytes.NewReader(ck.OptimizerState)); err != nil {
+			return fmt.Errorf("train: restoring %s state: %w", o.Name(), err)
 		}
 	} else if len(ck.OptimizerState) > 0 {
-		return fmt.Errorf("train: checkpoint carries optimizer state but method %q does not expose its optimizer", t.method.Name())
+		return fmt.Errorf("train: checkpoint carries %s state but the optimizer cannot load it", ck.OptimizerName)
 	}
-	if rm, ok := t.method.(core.Resumable); ok {
-		// Weights are restored above, so state loaders that rebuild
-		// weight-derived structures (hash indexes) see the right data.
-		if err := rm.LoadState(bytes.NewReader(ck.MethodState)); err != nil {
-			return fmt.Errorf("train: restoring method state: %w", err)
+	if restoreLR && ck.HasLR {
+		if adj, ok := o.(opt.LRAdjuster); ok {
+			adj.SetLearningRate(ck.LR)
 		}
-	} else if len(ck.MethodState) > 0 {
-		return fmt.Errorf("train: checkpoint carries method state but %q cannot load it", t.method.Name())
+	}
+	// Weights are restored above, so the method's loader, which rebuilds
+	// weight-derived structures (hash indexes), sees the right data.
+	if err := t.method.LoadState(bytes.NewReader(ck.MethodState)); err != nil {
+		return fmt.Errorf("train: restoring method state: %w", err)
 	}
 	if err := g.Restore(ck.RNGState); err != nil {
 		return fmt.Errorf("train: checkpoint rng: %w", err)
@@ -864,6 +838,6 @@ func Confusion(m core.Method, s *dataset.Split, classes, maxSamples int) *metric
 	}
 	sub := s.Subset(idx)
 	cm := metrics.NewConfusionMatrix(classes)
-	cm.AddBatch(sub.Y, core.Predict(m, sub.X))
+	cm.AddBatch(sub.Y, m.PredictBatch(sub.X))
 	return cm
 }
