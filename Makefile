@@ -32,10 +32,15 @@ lint:
 # weight digests and the multi-worker twin-run determinism tests —
 # tracer/metrics registry, the checkpoint/resume machinery, and the
 # serving layer's concurrent predict + hot-swap path; internal/bench
-# dominates the runtime).
+# dominates the runtime), then three seconds each of the two fuzz
+# targets over bytes a peer controls: binio frames and dist's gradient
+# payloads (error or valid value, never a panic, allocation bounded by
+# the input's length).
 tier1: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 3s ./internal/binio
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGradPayload$$' -fuzztime 3s ./internal/dist
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 10x .
@@ -50,11 +55,13 @@ bench-gemm:
 	$(GO) run ./cmd/benchgemm -sizes 128,256,512 -workers 1,2,4 \
 		-autotune -baseline BENCH_gemm.json -out BENCH_gemm.json
 
-# Distributed data-parallel throughput sweep: steps/sec at 1, 2, and 4
-# worker processes against the in-process reference, every point checked
+# Distributed data-parallel throughput sweep on the two benchmark shapes:
+# steady-state steps/sec and the coordinator's encode / wire / fold /
+# apply split at 1 and 2 worker processes (2 shards, as benchmark/ runs
+# its dist stage) against the in-process reference, every point checked
 # byte-for-byte against the single-process weights before it is recorded.
 bench-dist:
-	$(GO) run ./cmd/benchdist -workers 1,2,4 -epochs 3 -out BENCH_distributed.json
+	$(GO) run ./cmd/benchdist -workers 1,2 -epochs 5 -out BENCH_distributed.json
 
 # Serving-layer sweep: /predict latency percentiles and throughput at
 # 1, 2, and 4 closed-loop workers against a real mlpserve instance on a

@@ -4,11 +4,12 @@
 //
 // Usage:
 //
-//	benchdist -workers 1,2,4 -epochs 3 -out BENCH_distributed.json
+//	benchdist -workers 1,2 -epochs 5 -out BENCH_distributed.json
 //
-// Every worker count trains the same workload with the same shard count;
-// a final-weight mismatch against the in-process reference fails the
-// run. The coordinator spawns workers by re-executing this binary, so
+// Both benchmark shapes (784-128³-10 at batch 8, 784-256³-10 at batch
+// 60) are trained at every worker count with the same shard count, one
+// warm-up epoch dropped and -epochs measured; a final-weight mismatch
+// against the in-process reference fails the run. The coordinator spawns workers by re-executing this binary, so
 // main hands off to the dist worker loop when the marker environment
 // variable is set.
 package main
@@ -32,20 +33,18 @@ func main() {
 	var (
 		out     = flag.String("out", "BENCH_distributed.json", "output JSON path")
 		workers = flag.String("workers", "1,2,4", "comma-separated worker process counts (0 = in-process reference, always run)")
-		epochs  = flag.Int("epochs", 3, "training epochs per point")
-		trainN  = flag.Int("train", 400, "training samples")
-		batch   = flag.Int("batch", 20, "batch size")
+		epochs  = flag.Int("epochs", 5, "measured epochs per point (one more is run first and dropped)")
 	)
 	flag.Parse()
 	ws, err := parseInts(*workers)
 	if err != nil {
 		fatal(fmt.Errorf("-workers: %w", err))
 	}
-	if *epochs <= 0 || *trainN <= 0 || *batch <= 0 {
-		fatal(fmt.Errorf("-epochs, -train, and -batch must be positive"))
+	if *epochs <= 0 {
+		fatal(fmt.Errorf("-epochs must be positive"))
 	}
 
-	rep, err := bench.RunDistBench(ws, *epochs, *trainN, *batch)
+	rep, err := bench.RunDistBench(ws, *epochs)
 	if err != nil {
 		fatal(err)
 	}
@@ -54,10 +53,14 @@ func main() {
 		if p.Workers == 0 {
 			label = "single-proc"
 		}
-		fmt.Printf("%-11s shards=%d  %4d steps in %6.2fs  %7.1f steps/s  speedup %.2fx  loss %.4f\n",
-			label, p.Shards, p.Steps, p.Seconds, p.StepsPerSec, p.SpeedupVsSingle, p.FinalLoss)
+		fmt.Printf("%-9s %-11s shards=%d  %4d steps in %6.2fs  %7.1f steps/s  speedup %.2fx  step %6.2f ms",
+			p.Shape, label, p.Shards, p.Steps, p.Seconds, p.StepsPerSec, p.SpeedupVsSingle, p.ReduceMS)
+		if s := p.StageMS; s != nil {
+			fmt.Printf(" = encode %.2f + wire %.2f + fold %.2f + apply %.2f", s["encode"], s["wire"], s["fold"], s["apply"])
+		}
+		fmt.Println()
 		if !p.BitIdentical {
-			fatal(fmt.Errorf("workers=%d: final weights not byte-identical to the single-process reference", p.Workers))
+			fatal(fmt.Errorf("%s workers=%d: final weights not byte-identical to the single-process reference", p.Shape, p.Workers))
 		}
 	}
 	data, err := rep.JSON()

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"time"
 
 	"samplednn/internal/core"
 	"samplednn/internal/dataset"
@@ -22,21 +21,48 @@ import (
 // fixed shard count, varying only the number of worker processes, and
 // is checked byte-for-byte against the in-process reference before its
 // timing is reported — the dist package's determinism contract makes
-// worker count a pure throughput knob. Timings include process spawn
-// and the initial state sync, i.e. the cost a user actually pays.
+// worker count a pure throughput knob. The two models are the shapes
+// benchmark/ runs its dist stage at, so a point with two workers and
+// two shards is that stage by another route. Steps/sec is steady state:
+// the first epoch — worker spawn, dataset regeneration, the first sync,
+// buffers growing to size — is run and dropped, as benchmark/ does.
 
-// DistPoint is one worker-count measurement.
+// distShape is one benchmarked model and batch: synthetic MNIST into
+// three hidden layers of Width.
+type distShape struct {
+	Name                 string
+	Width, Batch, TrainN int
+}
+
+var distShapes = []distShape{
+	{Name: "s1_w128", Width: 128, Batch: 8, TrainN: 320},
+	{Name: "mb20_w256", Width: 256, Batch: 60, TrainN: 1200},
+}
+
+// DistPoint is one worker-count measurement of one shape.
 type DistPoint struct {
+	Shape        string `json:"shape"`
+	Params       int    `json:"params"`
+	BatchSize    int    `json:"batch_size"`
+	TrainSamples int    `json:"train_samples"`
 	// Workers is the number of worker processes; 0 is the in-process
 	// reference path every other point must match bit-for-bit.
-	Workers int     `json:"workers"`
-	Shards  int     `json:"shards"`
+	Workers int `json:"workers"`
+	Shards  int `json:"shards"`
+	// Steps and Seconds cover the measured epochs only.
 	Steps   int     `json:"steps"`
 	Seconds float64 `json:"seconds"`
 	// StepsPerSec counts optimizer steps (batches), not samples.
 	StepsPerSec float64 `json:"steps_per_sec"`
 	// SpeedupVsSingle is steps_per_sec relative to the workers=0 point.
 	SpeedupVsSingle float64 `json:"speedup_vs_single"`
+	// ReduceMS is the mean dist.reduce_ns per step: the whole exchange
+	// with workers, the whole local step without. StageMS splits the
+	// exchange into the coordinator's dist.stage_ns.* means (encode,
+	// wire — which includes waiting for the workers —, fold, apply);
+	// absent on the workers=0 point, which has no exchange.
+	ReduceMS float64            `json:"reduce_ms_per_step"`
+	StageMS  map[string]float64 `json:"stage_ms_per_step,omitempty"`
 	// BitIdentical reports whether the final weights matched the
 	// workers=0 run byte-for-byte.
 	BitIdentical bool    `json:"bit_identical"`
@@ -49,108 +75,111 @@ type DistReport struct {
 		CPUs       int `json:"cpus"`
 		GOMAXPROCS int `json:"gomaxprocs"`
 	} `json:"host"`
-	Epochs       int         `json:"epochs"`
-	BatchSize    int         `json:"batch_size"`
-	TrainSamples int         `json:"train_samples"`
-	Shards       int         `json:"shards"`
-	Points       []DistPoint `json:"points"`
-	Notes        []string    `json:"notes,omitempty"`
+	// Epochs is the measured epoch count; one more is run first and
+	// dropped.
+	Epochs int         `json:"epochs"`
+	Shards int         `json:"shards"`
+	Points []DistPoint `json:"points"`
+	Notes  []string    `json:"notes,omitempty"`
 }
 
-// distBenchSetup builds the fixed benchmark workload: a synthetic
-// dataset and a small MLP, bit-identical on every call.
-func distBenchSetup(trainN int) (*core.Standard, *dataset.Dataset, dataset.Options, error) {
-	spec := dataset.Spec{
-		Name: "dist-bench", Width: 8, Height: 8, Channels: 1,
-		Classes: 5, Train: trainN, Test: 50, Val: 25, Difficulty: 0.6,
-	}
-	dopts := dataset.Options{Seed: 42}
-	ds := dataset.GenerateFromSpec(spec, dopts)
-	net, err := nn.NewNetwork(nn.Uniform(spec.Dim(), 32, 2, spec.Classes), rng.New(43))
+// runDistPoint trains one shape once with the given worker count and
+// returns the point (speedup and identity unset) plus the final weight
+// bytes.
+func runDistPoint(sh distShape, workers, shards, epochs int) (DistPoint, []byte, error) {
+	dopts := dataset.Options{Seed: 42, MaxTrain: sh.TrainN, MaxTest: 50, MaxVal: 1}
+	ds, err := dataset.Generate("mnist", dopts)
 	if err != nil {
-		return nil, nil, dataset.Options{}, err
+		return DistPoint{}, nil, err
+	}
+	net, err := nn.NewNetwork(nn.Uniform(ds.Spec.Dim(), sh.Width, 3, ds.Spec.Classes), rng.New(43))
+	if err != nil {
+		return DistPoint{}, nil, err
 	}
 	optim, err := opt.ByName("momentum", 0.05)
 	if err != nil {
-		return nil, nil, dataset.Options{}, err
+		return DistPoint{}, nil, err
 	}
-	return core.NewStandard(net, optim), ds, dopts, nil
-}
-
-// runDistPoint trains the workload once with the given worker count and
-// returns the final weight bytes plus the measured wall time.
-func runDistPoint(workers, shards, epochs, trainN, batch int) (weights []byte, steps int, secs, loss float64, err error) {
-	m, ds, dopts, err := distBenchSetup(trainN)
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
+	m := core.NewStandard(net, optim)
 	reg := obs.NewRegistry()
-	co, err := dist.NewCoordinator(m, ds, batch, dist.Options{
+	co, err := dist.NewCoordinator(m, ds, sh.Batch, dist.Options{
 		Workers: workers, Shards: shards, Data: dopts, Seed: 7, Registry: reg,
 	})
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return DistPoint{}, nil, err
 	}
 	defer co.Close()
 	tr, err := train.New(m, ds, train.Config{
-		Epochs: epochs, BatchSize: batch, Seed: 7, Stepper: co, Registry: reg,
+		Epochs: epochs + 1, BatchSize: sh.Batch, Seed: 7, Stepper: co, Registry: reg,
 	})
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return DistPoint{}, nil, err
 	}
-	start := time.Now()
 	hist, err := tr.Run()
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return DistPoint{}, nil, err
 	}
-	secs = time.Since(start).Seconds()
-	var buf bytes.Buffer
-	if err := m.Net().Save(&buf); err != nil {
-		return nil, 0, 0, 0, err
+	var weights bytes.Buffer
+	if err := net.Save(&weights); err != nil {
+		return DistPoint{}, nil, err
 	}
-	batches := (ds.Train.Len() + batch - 1) / batch
-	return buf.Bytes(), epochs * batches, secs, hist.Epochs[len(hist.Epochs)-1].TrainLoss, nil
-}
 
-// RunDistBench measures training throughput at each worker count
-// against the workers=0 in-process reference. Shards is fixed at the
-// largest worker count so every point computes the identical reduced
-// gradient; any point whose final weights differ from the reference
-// fails the sweep.
-func RunDistBench(workerCounts []int, epochs, trainN, batch int) (*DistReport, error) {
-	shards := 1
-	for _, w := range workerCounts {
-		if w > shards {
-			shards = w
+	p := DistPoint{
+		Shape: sh.Name, Params: net.NumParams(), BatchSize: sh.Batch, TrainSamples: ds.Train.Len(),
+		Workers: workers, Shards: shards,
+		FinalLoss: hist.Epochs[len(hist.Epochs)-1].TrainLoss,
+	}
+	for _, e := range hist.Epochs[1:] {
+		p.Steps += e.Batches
+		p.Seconds += e.Duration.Seconds()
+	}
+	p.StepsPerSec = float64(p.Steps) / p.Seconds
+	dists := reg.Snapshot().Dists
+	p.ReduceMS = dists["dist.reduce_ns"].Mean / 1e6
+	if workers > 0 {
+		p.StageMS = map[string]float64{}
+		for _, stage := range []string{"encode", "wire", "fold", "apply"} {
+			p.StageMS[stage] = dists["dist.stage_ns."+stage].Mean / 1e6
 		}
 	}
-	rep := &DistReport{Epochs: epochs, BatchSize: batch, TrainSamples: trainN, Shards: shards}
+	return p, weights.Bytes(), nil
+}
+
+// RunDistBench measures steady-state training throughput of both shapes
+// at each worker count against the workers=0 in-process reference,
+// over epochs measured epochs. Shards is fixed at the largest worker
+// count so every point of a shape computes the identical reduced
+// gradient; a point whose final weights differ from the reference is
+// marked, and the caller fails the sweep.
+func RunDistBench(workerCounts []int, epochs int) (*DistReport, error) {
+	shards := 1
+	for _, w := range workerCounts {
+		shards = max(shards, w)
+	}
+	rep := &DistReport{Epochs: epochs, Shards: shards}
 	rep.Host.CPUs = runtime.NumCPU()
 	rep.Host.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	rep.Notes = append(rep.Notes,
-		"timings include worker spawn and initial state sync",
-		"the model is deliberately small, so per-step RPC cost dominates; speedups below 1x measure protocol overhead, not kernel scaling")
+		"steady state: one epoch (worker spawn, first sync, buffer growth) is run and dropped before the measured ones",
+		"stage_ms_per_step is the coordinator's view and sums to reduce_ms_per_step; wire includes the time workers spend computing and applying",
+		"workers are processes on this host: with more workers than idle CPUs, speedup_vs_single measures the exchange, not scaling")
 
-	refW, steps, refSecs, refLoss, err := runDistPoint(0, shards, epochs, trainN, batch)
-	if err != nil {
-		return nil, fmt.Errorf("reference run: %w", err)
-	}
-	refRate := float64(steps) / refSecs
-	rep.Points = append(rep.Points, DistPoint{
-		Workers: 0, Shards: shards, Steps: steps, Seconds: refSecs,
-		StepsPerSec: refRate, SpeedupVsSingle: 1, BitIdentical: true, FinalLoss: refLoss,
-	})
-	for _, w := range workerCounts {
-		weights, steps, secs, loss, err := runDistPoint(w, shards, epochs, trainN, batch)
+	for _, sh := range distShapes {
+		ref, refW, err := runDistPoint(sh, 0, shards, epochs)
 		if err != nil {
-			return nil, fmt.Errorf("workers=%d: %w", w, err)
+			return nil, fmt.Errorf("%s reference run: %w", sh.Name, err)
 		}
-		rate := float64(steps) / secs
-		rep.Points = append(rep.Points, DistPoint{
-			Workers: w, Shards: shards, Steps: steps, Seconds: secs,
-			StepsPerSec: rate, SpeedupVsSingle: rate / refRate,
-			BitIdentical: bytes.Equal(weights, refW), FinalLoss: loss,
-		})
+		ref.SpeedupVsSingle, ref.BitIdentical = 1, true
+		rep.Points = append(rep.Points, ref)
+		for _, w := range workerCounts {
+			p, weights, err := runDistPoint(sh, w, shards, epochs)
+			if err != nil {
+				return nil, fmt.Errorf("%s workers=%d: %w", sh.Name, w, err)
+			}
+			p.SpeedupVsSingle = p.StepsPerSec / ref.StepsPerSec
+			p.BitIdentical = bytes.Equal(weights, refW)
+			rep.Points = append(rep.Points, p)
+		}
 	}
 	return rep, nil
 }

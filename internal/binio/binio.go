@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // MaxBlobLen caps any single length-prefixed field. Checkpoints hold
@@ -145,6 +146,42 @@ func ReadString(r io.Reader) (string, error) {
 	return string(b), err
 }
 
+// AppendFloats appends the WriteFloats encoding of vals — a uint32
+// count, then each value's IEEE-754 bits — to dst and returns the
+// extended slice. It is the one float-slice encoder: a caller that owns
+// its buffer (a dist frame) pays a single pass and no allocation once
+// the buffer has grown.
+func AppendFloats(dst []byte, vals []float64) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(vals)))
+	n := len(dst)
+	dst = slices.Grow(dst, 8*len(vals))[:n+8*len(vals)]
+	EncodeFloats(dst[n:], vals)
+	return dst
+}
+
+// EncodeFloats writes the IEEE-754 bits of vals, with no count in
+// front, into the first 8·len(vals) bytes of dst.
+func EncodeFloats(dst []byte, vals []float64) {
+	dst = dst[:8*len(vals)]
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+	}
+}
+
+// DecodeFloats fills dst from the first 8·len(dst) bytes of src, which
+// the caller has checked are there.
+func DecodeFloats(dst []float64, src []byte) {
+	src = src[:8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
+// floatBlock is how many values WriteFloats and ReadFloats move per
+// Write/Read: a 4 KiB staging block, so a slice of any length costs no
+// temporary of its own size.
+const floatBlock = 512
+
 // WriteFloats writes a uint32 count followed by the raw float64 bits.
 func WriteFloats(w io.Writer, vals []float64) error {
 	if 8*len(vals) > MaxBlobLen {
@@ -153,12 +190,16 @@ func WriteFloats(w io.Writer, vals []float64) error {
 	if err := WriteU32(w, uint32(len(vals))); err != nil {
 		return err
 	}
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+	var buf [8 * floatBlock]byte
+	for len(vals) > 0 {
+		k := min(len(vals), floatBlock)
+		EncodeFloats(buf[:], vals[:k])
+		if _, err := w.Write(buf[:8*k]); err != nil {
+			return err
+		}
+		vals = vals[k:]
 	}
-	_, err := w.Write(buf)
-	return err
+	return nil
 }
 
 // ReadFloats reads a slice written by WriteFloats.
@@ -170,13 +211,15 @@ func ReadFloats(r io.Reader) ([]float64, error) {
 	if 8*int(n) > MaxBlobLen {
 		return nil, fmt.Errorf("binio: implausible float count %d", n)
 	}
-	buf := make([]byte, 8*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+	var buf [8 * floatBlock]byte
+	for rest := out; len(rest) > 0; {
+		k := min(len(rest), floatBlock)
+		if _, err := io.ReadFull(r, buf[:8*k]); err != nil {
+			return nil, err
+		}
+		DecodeFloats(rest[:k], buf[:])
+		rest = rest[k:]
 	}
 	return out, nil
 }

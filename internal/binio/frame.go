@@ -46,7 +46,7 @@ const FrameVersion = 2
 // matrices, so the cap matches MaxBlobLen.
 const MaxFrameLen = MaxBlobLen
 
-// Frame header layout offsets. frameHeaderLen is magic(4)+version(1)+
+// Frame header layout offsets. FrameHeaderLen is magic(4)+version(1)+
 // type(1)+seq(8)+ctx(CtxWireLen)+len(4)+payloadCRC(4)+headerCRC(4).
 const (
 	frameOffSeq        = 6
@@ -54,7 +54,12 @@ const (
 	frameOffLen        = frameOffCtx + obs.CtxWireLen
 	frameOffPayloadCRC = frameOffLen + 4
 	frameOffHeaderCRC  = frameOffPayloadCRC + 4
-	frameHeaderLen     = frameOffHeaderCRC + 4
+
+	// FrameHeaderLen is the size of the fixed header in front of every
+	// payload. A sender that builds its payload behind FrameHeaderLen
+	// reserved bytes can stamp the header in place (PutFrameHeader) and
+	// hand header and payload to the connection in one Write.
+	FrameHeaderLen = frameOffHeaderCRC + 4
 )
 
 // ErrFrameCorrupt reports a frame whose payload failed its CRC. The
@@ -70,20 +75,66 @@ type Frame struct {
 	Payload []byte
 }
 
+// FrameHeader is the header of one frame: the envelope fields plus the
+// length and CRC-32 (IEEE) of the payload that follows it.
+type FrameHeader struct {
+	Type       uint8
+	Seq        uint64
+	Ctx        obs.Ctx
+	Len        int
+	PayloadCRC uint32
+}
+
+// PutFrameHeader renders h, header CRC included, into
+// hdr[:FrameHeaderLen].
+func PutFrameHeader(hdr []byte, h FrameHeader) {
+	binary.LittleEndian.PutUint32(hdr[0:], FrameMagic)
+	hdr[4] = FrameVersion
+	hdr[5] = h.Type
+	binary.LittleEndian.PutUint64(hdr[frameOffSeq:], h.Seq)
+	h.Ctx.PutWire(hdr[frameOffCtx:])
+	binary.LittleEndian.PutUint32(hdr[frameOffLen:], uint32(h.Len))
+	binary.LittleEndian.PutUint32(hdr[frameOffPayloadCRC:], h.PayloadCRC)
+	binary.LittleEndian.PutUint32(hdr[frameOffHeaderCRC:], crc32.ChecksumIEEE(hdr[:frameOffHeaderCRC]))
+}
+
+// ParseFrameHeader checks hdr[:FrameHeaderLen] — header CRC, magic,
+// version, MaxFrameLen — and returns its fields. A receiver with a
+// tighter bound on what its peer may send compares Len against it
+// before reading (or allocating for) the payload.
+func ParseFrameHeader(hdr []byte) (FrameHeader, error) {
+	if got := binary.LittleEndian.Uint32(hdr[frameOffHeaderCRC:]); got != crc32.ChecksumIEEE(hdr[:frameOffHeaderCRC]) {
+		return FrameHeader{}, errors.New("binio: frame header failed CRC")
+	}
+	if magic := binary.LittleEndian.Uint32(hdr[0:]); magic != FrameMagic {
+		return FrameHeader{}, fmt.Errorf("binio: frame magic %#08x, want %#08x", magic, FrameMagic)
+	}
+	if v := hdr[4]; v != FrameVersion {
+		return FrameHeader{}, fmt.Errorf("binio: frame version %d, want %d", v, FrameVersion)
+	}
+	n := binary.LittleEndian.Uint32(hdr[frameOffLen:])
+	if n > MaxFrameLen {
+		return FrameHeader{}, fmt.Errorf("binio: implausible frame length %d", n)
+	}
+	return FrameHeader{
+		Type:       hdr[5],
+		Seq:        binary.LittleEndian.Uint64(hdr[frameOffSeq:]),
+		Ctx:        obs.CtxFromWire(hdr[frameOffCtx:]),
+		Len:        int(n),
+		PayloadCRC: binary.LittleEndian.Uint32(hdr[frameOffPayloadCRC:]),
+	}, nil
+}
+
 // WriteFrame writes one frame. The payload is not retained.
 func WriteFrame(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxFrameLen {
 		return fmt.Errorf("binio: frame payload of %d bytes exceeds cap", len(f.Payload))
 	}
-	hdr := make([]byte, frameHeaderLen)
-	binary.LittleEndian.PutUint32(hdr[0:], FrameMagic)
-	hdr[4] = FrameVersion
-	hdr[5] = f.Type
-	binary.LittleEndian.PutUint64(hdr[frameOffSeq:], f.Seq)
-	f.Ctx.PutWire(hdr[frameOffCtx:])
-	binary.LittleEndian.PutUint32(hdr[frameOffLen:], uint32(len(f.Payload)))
-	binary.LittleEndian.PutUint32(hdr[frameOffPayloadCRC:], crc32.ChecksumIEEE(f.Payload))
-	binary.LittleEndian.PutUint32(hdr[frameOffHeaderCRC:], crc32.ChecksumIEEE(hdr[:frameOffHeaderCRC]))
+	hdr := make([]byte, FrameHeaderLen)
+	PutFrameHeader(hdr, FrameHeader{
+		Type: f.Type, Seq: f.Seq, Ctx: f.Ctx,
+		Len: len(f.Payload), PayloadCRC: crc32.ChecksumIEEE(f.Payload),
+	})
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
@@ -98,37 +149,47 @@ func WriteFrame(w io.Writer, f Frame) error {
 //   - other errors: header corruption or I/O failure; the connection
 //     must be reset
 func ReadFrame(r io.Reader) (Frame, error) {
-	hdr := make([]byte, frameHeaderLen)
+	hdr := make([]byte, FrameHeaderLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return Frame{}, err
 	}
-	if got := binary.LittleEndian.Uint32(hdr[frameOffHeaderCRC:]); got != crc32.ChecksumIEEE(hdr[:frameOffHeaderCRC]) {
-		return Frame{}, errors.New("binio: frame header failed CRC")
+	h, err := ParseFrameHeader(hdr)
+	if err != nil {
+		return Frame{}, err
 	}
-	if magic := binary.LittleEndian.Uint32(hdr[0:]); magic != FrameMagic {
-		return Frame{}, fmt.Errorf("binio: frame magic %#08x, want %#08x", magic, FrameMagic)
-	}
-	if v := hdr[4]; v != FrameVersion {
-		return Frame{}, fmt.Errorf("binio: frame version %d, want %d", v, FrameVersion)
-	}
-	n := binary.LittleEndian.Uint32(hdr[frameOffLen:])
-	if n > MaxFrameLen {
-		return Frame{}, fmt.Errorf("binio: implausible frame length %d", n)
-	}
-	f := Frame{
-		Type:    hdr[5],
-		Seq:     binary.LittleEndian.Uint64(hdr[frameOffSeq:]),
-		Ctx:     obs.CtxFromWire(hdr[frameOffCtx:]),
-		Payload: make([]byte, n),
-	}
-	if _, err := io.ReadFull(r, f.Payload); err != nil {
+	f := Frame{Type: h.Type, Seq: h.Seq, Ctx: h.Ctx}
+	if f.Payload, err = readPayload(r, h.Len); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return Frame{}, err
 	}
-	if crc32.ChecksumIEEE(f.Payload) != binary.LittleEndian.Uint32(hdr[frameOffPayloadCRC:]) {
+	if crc32.ChecksumIEEE(f.Payload) != h.PayloadCRC {
 		return f, ErrFrameCorrupt
 	}
 	return f, nil
+}
+
+// payloadStep is the most ReadFrame allocates ahead of the bytes it has
+// actually received: a header is 58 bytes anyone can forge (its CRC is
+// not a secret), so the length it names is believed one step at a time.
+const payloadStep = 4 << 20
+
+// readPayload reads n bytes. Up to payloadStep the buffer is allocated
+// at once; beyond it the buffer doubles only after the stream has
+// filled it, so a stream that names more than it holds costs at most
+// twice what it holds plus one step.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	b := make([]byte, min(n, payloadStep))
+	if _, err := io.ReadFull(r, b); err != nil {
+		return nil, err
+	}
+	for len(b) < n {
+		have := len(b)
+		b = append(b, make([]byte, min(n-have, have))...)
+		if _, err := io.ReadFull(r, b[have:]); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }

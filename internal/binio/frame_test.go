@@ -102,7 +102,7 @@ func TestFrameCorruptPayloadKeepsAlignment(t *testing.T) {
 		}
 		good := randFrame(g)
 		encBad := encodeFrame(t, bad)
-		encBad[frameHeaderLen+g.IntN(len(bad.Payload))] ^= 0x80
+		encBad[FrameHeaderLen+g.IntN(len(bad.Payload))] ^= 0x80
 		stream := bytes.NewReader(append(encBad, encodeFrame(t, good)...))
 
 		if _, err := ReadFrame(stream); !errors.Is(err, ErrFrameCorrupt) {

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -71,9 +70,10 @@ type Options struct {
 	// correlation context: step-scoped events share one trace ID per
 	// (epoch, step) across every process that touched the step.
 	Journal *obs.Journal
-	// Registry receives dist counters and the reduce-latency
-	// distribution (default obs.Default), plus the per-rank worker
-	// snapshot families piggybacked on acks.
+	// Registry receives dist counters, the reduce-latency distribution
+	// dist.reduce_ns and its split into dist.stage_ns.{encode,wire,fold,
+	// apply} (default obs.Default), plus the per-rank worker snapshot
+	// families piggybacked on acks.
 	Registry *obs.Registry
 	// Run is the run identifier shared by every process in the run
 	// (default obs.RunID(Seed)).
@@ -169,8 +169,57 @@ type Coordinator struct {
 
 	faultDropDone, faultDelayDone, faultCorruptDone bool
 
+	// red and commit are reused by every step: the accumulators are
+	// zeroed, the commit frame re-encoded in place. The commit frame is
+	// the coordinator's, not a connection's, because one payload goes to
+	// every rank; it stays untouched from the fan-out to the last ack,
+	// so a retry resends the bytes the first send carried.
+	red    *reducer
+	commit wireFrame
+	// replyCap bounds a payload a joined worker may send.
+	replyCap int
+
 	reduceNS *obs.Distribution
+	// stageNS splits a successful step's reduceNS; laps accumulates the
+	// running attempt's share per stage since lapAt.
+	stageNS [numStages]*obs.Distribution
+	laps    [numStages]int64
+	lapAt   time.Time
 }
+
+// The stages a distributed step's wall time is attributed to. Every
+// nanosecond between tryStep's entry and return lands in exactly one,
+// so the four sum to dist.reduce_ns.
+const (
+	// stageEncode: rendering messages into frames, payload CRC, header.
+	stageEncode = iota
+	// stageWire: blocked in a conn read or write — which includes
+	// waiting for the workers to compute and apply — the receive-side
+	// payload CRC, and retry backoff.
+	stageWire
+	// stageFold: walking grad replies and folding them into the reducer.
+	stageFold
+	// stageApply: the local ApplyGrads and weight CRC.
+	stageApply
+	numStages
+)
+
+var stageNames = [numStages]string{"encode", "wire", "fold", "apply"}
+
+// lap charges the time since the previous lap to stage.
+func (c *Coordinator) lap(stage int) {
+	t := now()
+	c.laps[stage] += t.Sub(c.lapAt).Nanoseconds()
+	c.lapAt = t
+}
+
+// helloCap bounds the one frame an unauthenticated connection may send:
+// a hello is 12 bytes. maxSnapshotLen is the room an ack gets, beyond
+// its fixed fields, for a piggybacked registry snapshot.
+const (
+	helloCap       = 64
+	maxSnapshotLen = 1 << 20
+)
 
 // NewCoordinator builds a coordinator for the given method (which must
 // export gradients via core.GradComputer) over the dataset the trainer
@@ -199,6 +248,10 @@ func NewCoordinator(m core.Method, ds *dataset.Dataset, batchSize int, opts Opti
 		opts.Journal.SetLamport(opts.Clock)
 	}
 	c.reduceNS = opts.Registry.Distribution("dist.reduce_ns")
+	for i, name := range stageNames {
+		c.stageNS[i] = opts.Registry.Distribution("dist.stage_ns." + name)
+	}
+	c.red = newReducer(m.Net())
 	c.welcome = welcome{
 		Spec:      ds.Spec,
 		DataSeed:  opts.Data.Seed,
@@ -228,6 +281,12 @@ func NewCoordinator(m core.Method, ds *dataset.Dataset, batchSize int, opts Opti
 		c.workers = make([]*remoteWorker, opts.Workers)
 		c.spawned = make([]int, opts.Workers)
 		c.sent = make([]int, opts.Workers)
+		// The longest legitimate worker payload is a gradReply carrying
+		// the most shards one rank can be assigned: per shard 8 bytes a
+		// parameter, 16 of shape and counts a layer, 20 of header.
+		perRank := (opts.Shards + opts.Workers - 1) / opts.Workers
+		net := m.Net()
+		c.replyCap = 12 + perRank*(20+16*len(net.Layers)+8*net.NumParams()) + maxSnapshotLen
 		c.emit(c.root, "dist-listen", map[string]any{"addr": c.Addr(), "workers": opts.Workers, "shards": opts.Shards})
 	}
 	return c, nil
@@ -292,9 +351,13 @@ func (c *Coordinator) StepBatch(pos train.StepPos, x *tensor.Matrix, y []int, st
 			return 0, err
 		}
 		start := now()
+		c.laps, c.lapAt = [numStages]int64{}, start
 		loss, err := c.tryStep(pos, x, y)
 		if err == nil {
 			c.reduceNS.Observe(now().Sub(start).Nanoseconds())
+			for i, d := range c.stageNS {
+				d.Observe(c.laps[i])
+			}
 			c.expected = c.nextPos(pos)
 			c.hasExpected = true
 			return loss, nil
@@ -313,19 +376,16 @@ func (c *Coordinator) StepBatch(pos train.StepPos, x *tensor.Matrix, y []int, st
 // fixed-order reduce, the same single apply — just computed in-process.
 func (c *Coordinator) localStep(x *tensor.Matrix, y []int) float64 {
 	rows := x.Rows
-	var red *reducer
+	c.red.reset()
 	for s := 0; s < c.opts.Shards; s++ {
 		lo, hi := shardRange(rows, c.opts.Shards, s)
 		if lo == hi {
 			continue
 		}
 		loss, grads := c.gc.ComputeGrads(x.RowRange(lo, hi), y[lo:hi])
-		if red == nil {
-			red = newReducer(grads)
-		}
-		red.Add(s, hi-lo, rows, loss, grads)
+		c.red.Add(s, hi-lo, rows, loss, grads)
 	}
-	loss, grads := red.Result(rows)
+	loss, grads := c.red.Result(rows)
 	c.gc.ApplyGrads(grads)
 	return loss
 }
@@ -486,7 +546,10 @@ func (c *Coordinator) acceptWorker() error {
 		if err != nil {
 			return fmt.Errorf("dist: accepting worker: %w", err)
 		}
-		fc := newFrameConn(conn, c.opts.IOTimeout)
+		// Anyone can connect, and a frame header's CRC is no secret:
+		// until its hello checks out, a connection may send one
+		// hello-sized frame and nothing longer.
+		fc := newFrameConn(conn, c.opts.IOTimeout, helloCap)
 		fc.clock = c.opts.Clock
 		f, err := fc.recv(c.opts.IOTimeout)
 		if err != nil || f.Type != msgHello {
@@ -503,6 +566,7 @@ func (c *Coordinator) acceptWorker() error {
 			_ = fc.Close()
 			continue
 		}
+		fc.maxRecv = c.replyCap
 		w := &remoteWorker{fc: fc, pid: h.PID}
 		for i, p := range c.pendingCmds {
 			if p.rank == h.Rank {
@@ -514,7 +578,7 @@ func (c *Coordinator) acceptWorker() error {
 		c.workers[h.Rank] = w
 		wm := c.welcome
 		wm.Rank = h.Rank
-		if err := c.sendTo(h.Rank, c.root, msgWelcome, wm.encode()); err != nil {
+		if err := c.sendTo(h.Rank, c.root, msgWelcome, &wm); err != nil {
 			c.failWorker(h.Rank, "welcome: "+err.Error())
 			return fmt.Errorf("dist: welcoming rank %d: %w", h.Rank, err)
 		}
@@ -527,12 +591,11 @@ func (c *Coordinator) acceptWorker() error {
 // replica's weight CRC against the local one.
 func (c *Coordinator) syncWorker(r int, pos train.StepPos, blob []byte) error {
 	cx := c.stepCtx(pos)
-	sm := syncMsg{Epoch: pos.Epoch, Step: pos.Step, Blob: blob}
-	if err := c.sendTo(r, cx, msgSync, sm.encode()); err != nil {
+	if err := c.sendTo(r, cx, msgSync, &syncMsg{Epoch: pos.Epoch, Step: pos.Step, Blob: blob}); err != nil {
 		c.failWorker(r, "sync send: "+err.Error())
 		return fmt.Errorf("dist: sending sync to rank %d: %w", r, err)
 	}
-	payload, err := c.rpc(r, cx, msgSync, sm.encode(), msgSyncAck, pos)
+	payload, err := c.rpc(r, cx, msgSync, &c.workers[r].fc.out, msgSyncAck, pos)
 	if err != nil {
 		c.failWorker(r, "sync: "+err.Error())
 		return fmt.Errorf("dist: syncing rank %d: %w", r, err)
@@ -580,83 +643,75 @@ func (e *stepError) Error() string { return fmt.Sprintf("rank %d: %v", e.rank, e
 func (e *stepError) Unwrap() error { return e.err }
 
 // tryStep runs one complete exchange: gradient requests fan out, shard
-// gradients are reduced in ascending shard order, the coordinator
-// applies the result, and the commit fans out. Any pre-apply failure
-// aborts the step (weights untouched anywhere: workers only move on
-// commit, and a worker that already computed gradients recomputes them
-// identically on the re-run).
+// gradients are folded in ascending shard order straight from the reply
+// payloads, the commit fans out, and only then does the coordinator
+// apply the result itself — its ApplyGrads and weight CRC run beside
+// the workers' instead of in front of them. Nothing between the reduced
+// gradient and the local apply can fail, so sending first creates no
+// state in which a worker has applied a step the coordinator will not.
+// Any failure before the reduced gradient exists aborts the step
+// (weights untouched anywhere: workers only move on commit, and a
+// worker that already computed gradients recomputes them identically on
+// the re-run); a failure after it only costs the worker.
 func (c *Coordinator) tryStep(pos train.StepPos, x *tensor.Matrix, y []int) (float64, error) {
 	cx := c.stepCtx(pos)
 	rows := x.Rows
-	type span struct{ lo, hi int }
-	spans := make([]span, len(c.workers))
+	abort := func(r int, reason string, err error) (float64, error) {
+		c.failWorker(r, reason+": "+err.Error())
+		return 0, &stepError{rank: r, abort: true, err: err}
+	}
 	for r := range c.workers {
 		lo, hi := workerShards(c.opts.Shards, len(c.workers), r)
-		spans[r] = span{lo, hi}
 		if lo == hi {
 			continue
 		}
 		req := gradRequest{Epoch: pos.Epoch, Step: pos.Step, ShardLo: lo, ShardHi: hi}
-		if err := c.sendTo(r, cx, msgGradRequest, req.encode()); err != nil {
-			c.failWorker(r, "grad request: "+err.Error())
-			return 0, &stepError{rank: r, abort: true, err: err}
+		if err := c.sendTo(r, cx, msgGradRequest, &req); err != nil {
+			return abort(r, "grad request", err)
 		}
 	}
 
-	var red *reducer
+	c.red.reset()
 	for r := range c.workers {
-		if spans[r].lo == spans[r].hi {
+		lo, hi := workerShards(c.opts.Shards, len(c.workers), r)
+		if lo == hi {
 			continue
 		}
-		req := gradRequest{Epoch: pos.Epoch, Step: pos.Step, ShardLo: spans[r].lo, ShardHi: spans[r].hi}
-		payload, err := c.rpc(r, cx, msgGradRequest, req.encode(), msgGradReply, pos)
+		// The request still sits, encoded, in the connection's send
+		// buffer: a retry resends those bytes.
+		payload, err := c.rpc(r, cx, msgGradRequest, &c.workers[r].fc.out, msgGradReply, pos)
 		if err != nil {
-			c.failWorker(r, "grad reply: "+err.Error())
-			return 0, &stepError{rank: r, abort: true, err: err}
+			return abort(r, "grad reply", err)
 		}
-		reply, err := decodeGradReply(payload)
-		if err != nil {
-			c.failWorker(r, "grad reply decode: "+err.Error())
-			return 0, &stepError{rank: r, abort: true, err: err}
+		if err := c.foldReply(payload, lo, hi, rows); err != nil {
+			return abort(r, "grad reply", err)
 		}
-		for i := range reply.Shards {
-			s := &reply.Shards[i]
-			lo, hi := shardRange(rows, c.opts.Shards, s.Index)
-			if s.Index < spans[r].lo || s.Index >= spans[r].hi || s.Rows != hi-lo {
-				c.failWorker(r, "shard mismatch")
-				return 0, &stepError{rank: r, abort: true,
-					err: fmt.Errorf("shard %d (%d rows) outside assignment [%d,%d)", s.Index, s.Rows, spans[r].lo, spans[r].hi)}
-			}
-			if red == nil {
-				red = newReducer(s.Grads)
-			}
-			red.Add(s.Index, s.Rows, rows, s.Loss, s.Grads)
-		}
+		c.lap(stageFold)
 	}
-	if red == nil {
-		return 0, &stepError{rank: -1, abort: true, err: errors.New("no shards reduced")}
+	if c.red.rows != rows {
+		return 0, &stepError{rank: -1, abort: true,
+			err: fmt.Errorf("replies cover %d of the batch's %d rows", c.red.rows, rows)}
 	}
-	loss, grads := red.Result(rows)
-	c.gc.ApplyGrads(grads)
-	want := weightCRC(c.method.Net())
+	loss, grads := c.red.Result(rows)
 
-	cm := commit{Epoch: pos.Epoch, Step: pos.Step, Loss: loss, Grads: grads}
-	payloadBytes := cm.encode()
+	c.commit.set(&commit{Epoch: pos.Epoch, Step: pos.Step, Loss: loss, Grads: grads})
 	for r := range c.workers {
 		if c.workers[r] == nil {
 			continue
 		}
-		if err := c.sendTo(r, cx, msgCommit, payloadBytes); err != nil {
+		if err := c.sendFrame(r, cx, msgCommit, &c.commit); err != nil {
 			c.failWorker(r, "commit: "+err.Error())
-			continue
 		}
 	}
+	c.gc.ApplyGrads(grads)
+	want := weightCRC(c.method.Net())
+	c.lap(stageApply)
+
 	for r := range c.workers {
-		w := c.workers[r]
-		if w == nil {
+		if c.workers[r] == nil {
 			continue
 		}
-		payload, err := c.rpc(r, cx, msgCommit, payloadBytes, msgCommitAck, pos)
+		payload, err := c.rpc(r, cx, msgCommit, &c.commit, msgCommitAck, pos)
 		if err != nil {
 			// The step is already applied locally; a commit failure only
 			// costs the worker, which rejoins by checkpoint next step.
@@ -674,19 +729,47 @@ func (c *Coordinator) tryStep(pos train.StepPos, x *tensor.Matrix, y []int) (flo
 			c.failWorker(r, fmt.Sprintf("replica diverged: CRC %08x, want %08x", ack.WeightCRC, want))
 		}
 	}
+	c.lap(stageWire)
 	return loss, nil
 }
 
-// rpc awaits the reply to an already-sent request, resending the
-// request on retryable failures (timeout, corrupt frame in either
-// direction) with capped exponential backoff plus seeded jitter. Stale
-// frames — replies to earlier exchanges still buffered on the
-// connection — are skipped, not errors.
-func (c *Coordinator) rpc(r int, cx obs.Ctx, reqType uint8, reqPayload []byte, wantType uint8, pos train.StepPos) ([]byte, error) {
+// foldReply folds every shard of one gradReply payload — already past
+// its frame CRC — into the reducer, checking each against the shard
+// range [lo, hi) the rank was asked for.
+func (c *Coordinator) foldReply(payload []byte, lo, hi, rows int) error {
+	cur := cursor{p: payload}
+	_, _, shards := gradReplyHead(&cur)
+	for i := 0; i < shards; i++ {
+		index, n, loss := shardHead(&cur)
+		if cur.err != nil {
+			break
+		}
+		if slo, shi := shardRange(rows, c.opts.Shards, index); index < lo || index >= hi || n != shi-slo {
+			return fmt.Errorf("shard %d (%d rows) outside assignment [%d,%d)", index, n, lo, hi)
+		}
+		if err := c.red.addWire(index, n, rows, loss, &cur); err != nil {
+			return err
+		}
+	}
+	if cur.err != nil || len(cur.p) != 0 {
+		return fmt.Errorf("grad reply of %d bytes does not hold %d shards", len(payload), shards)
+	}
+	return nil
+}
+
+// rpc awaits the reply to an already-sent request — req is the frame
+// that carried it, still encoded — resending it on retryable failures
+// (timeout, corrupt frame in either direction) with capped exponential
+// backoff plus seeded jitter. Stale frames — replies to earlier
+// exchanges still buffered on the connection — are skipped, not errors.
+// The returned payload aliases the connection's receive buffer: use it
+// before the next recv.
+func (c *Coordinator) rpc(r int, cx obs.Ctx, reqType uint8, req *wireFrame, wantType uint8, pos train.StepPos) ([]byte, error) {
 	w := c.workers[r]
 	retries := 0
 	for {
 		f, err := w.fc.recv(c.opts.StepTimeout)
+		c.lap(stageWire)
 		switch {
 		case err == binio.ErrFrameCorrupt:
 			// The worker's reply arrived corrupted; ask again.
@@ -733,7 +816,7 @@ func (c *Coordinator) rpc(r int, cx obs.Ctx, reqType uint8, reqPayload []byte, w
 			"delay_ms": delay.Milliseconds(),
 		})
 		time.Sleep(delay)
-		if err := c.sendTo(r, cx, reqType, reqPayload); err != nil {
+		if err := c.sendFrame(r, cx, reqType, req); err != nil {
 			return nil, fmt.Errorf("resending request: %w", err)
 		}
 	}
@@ -781,31 +864,55 @@ func typePhase(t uint8) int {
 	return 3
 }
 
-// sendTo writes one frame to rank r, applying any armed frame fault:
-// drop (bytes discarded, sequence number consumed), delay, or a
-// payload bit-flip the receiver's CRC check will catch.
-func (c *Coordinator) sendTo(r int, cx obs.Ctx, typ uint8, payload []byte) error {
+// sendTo encodes m into rank r's send buffer and sends it.
+func (c *Coordinator) sendTo(r int, cx obs.Ctx, typ uint8, m message) error {
 	w := c.workers[r]
 	if w == nil {
 		return fmt.Errorf("dist: rank %d has no connection", r)
 	}
-	b := w.fc.encode(typ, cx, payload)
+	w.fc.out.set(m)
+	return c.sendFrame(r, cx, typ, &w.fc.out)
+}
+
+// sendFrame writes one encoded frame to rank r, applying any armed
+// frame fault: drop (bytes discarded, sequence number consumed), delay,
+// or a payload bit-flip the receiver's CRC check will catch.
+func (c *Coordinator) sendFrame(r int, cx obs.Ctx, typ uint8, f *wireFrame) error {
+	w := c.workers[r]
+	if w == nil {
+		return fmt.Errorf("dist: rank %d has no connection", r)
+	}
+	if err := w.fc.seal(f, typ, cx); err != nil {
+		return err
+	}
+	c.lap(stageEncode)
 	c.sent[r]++
 	n := c.sent[r]
-	if f := c.opts.Fault.DropFrame; !c.faultDropDone && f.matches(r, n) {
+	plan := &c.opts.Fault
+	if !c.faultDropDone && plan.DropFrame.matches(r, n) {
 		c.faultDropDone = true
 		c.emit(cx, "dist-fault", map[string]any{"kind": "drop", "rank": r, "frame": n})
 		return nil
 	}
-	if f := c.opts.Fault.DelayFrame; !c.faultDelayDone && f.matches(r, n) {
+	if d := plan.DelayFrame; !c.faultDelayDone && d.matches(r, n) {
 		c.faultDelayDone = true
-		c.emit(cx, "dist-fault", map[string]any{"kind": "delay", "rank": r, "frame": n, "delay_ms": f.Delay.Milliseconds()})
-		time.Sleep(f.Delay)
+		c.emit(cx, "dist-fault", map[string]any{"kind": "delay", "rank": r, "frame": n, "delay_ms": d.Delay.Milliseconds()})
+		time.Sleep(d.Delay)
 	}
-	if f := c.opts.Fault.CorruptFrame; !c.faultCorruptDone && f.matches(r, n) && len(payload) > 0 {
+	corrupt := !c.faultCorruptDone && plan.CorruptFrame.matches(r, n) && len(f.payload()) > 0
+	last := &f.buf[len(f.buf)-1]
+	if corrupt {
 		c.faultCorruptDone = true
 		c.emit(cx, "dist-fault", map[string]any{"kind": "corrupt", "rank": r, "frame": n})
-		b[len(b)-1] ^= 0x01 // flip a payload bit; the worker's CRC check rejects it
+		*last ^= 0x01 // flip a payload bit; the worker's CRC check rejects it
 	}
-	return w.fc.write(b)
+	err := w.fc.write(f)
+	if corrupt {
+		// The buffer outlives this write — a retry resends it, a commit
+		// goes on to the other ranks — and the fault is one frame on one
+		// link, so the bit goes back.
+		*last ^= 0x01
+	}
+	c.lap(stageWire)
+	return err
 }

@@ -109,6 +109,10 @@ func trainPlain(t *testing.T, epochs int) []byte {
 	return buf.Bytes()
 }
 
+// enc renders a message's payload the way wireFrame.set does, minus the
+// reserved header.
+func enc(m message) []byte { return m.appendTo(nil) }
+
 func TestProtocolRoundTrips(t *testing.T) {
 	g := rng.New(5)
 	grads := []nn.Grads{
@@ -117,7 +121,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 	}
 
 	h := hello{Rank: 3, PID: 4242}
-	h2, err := decodeHello(h.encode())
+	h2, err := decodeHello(enc(&h))
 	if err != nil || *h2 != h {
 		t.Fatalf("hello round trip: %+v, %v", h2, err)
 	}
@@ -130,30 +134,30 @@ func TestProtocolRoundTrips(t *testing.T) {
 		Method: "standard", Optimizer: "adam", LR: 0.01,
 		Run: 0xfeedface12345678, SnapEvery: 5,
 	}
-	w2, err := decodeWelcome(w.encode())
+	w2, err := decodeWelcome(enc(&w))
 	if err != nil || *w2 != w {
 		t.Fatalf("welcome round trip: %+v, %v", w2, err)
 	}
 
 	s := syncMsg{Epoch: 2, Step: 5, Blob: []byte{1, 2, 3}}
-	s2, err := decodeSync(s.encode())
+	s2, err := decodeSync(enc(&s))
 	if err != nil || s2.Epoch != 2 || s2.Step != 5 || !bytes.Equal(s2.Blob, s.Blob) {
 		t.Fatalf("sync round trip: %+v, %v", s2, err)
 	}
 
 	a := posAck{Epoch: 1, Step: 2, WeightCRC: 0xdeadbeef, Snap: []byte(`{"counters":{"x":1}}`)}
-	a2, err := decodePosAck(a.encode())
+	a2, err := decodePosAck(enc(&a))
 	if err != nil || a2.Epoch != a.Epoch || a2.Step != a.Step || a2.WeightCRC != a.WeightCRC || !bytes.Equal(a2.Snap, a.Snap) {
 		t.Fatalf("ack round trip: %+v, %v", a2, err)
 	}
 	aEmpty := posAck{Epoch: 1, Step: 2, WeightCRC: 7}
-	aEmpty2, err := decodePosAck(aEmpty.encode())
+	aEmpty2, err := decodePosAck(enc(&aEmpty))
 	if err != nil || len(aEmpty2.Snap) != 0 {
 		t.Fatalf("snapless ack round trip: %+v, %v", aEmpty2, err)
 	}
 
 	req := gradRequest{Epoch: 1, Step: 2, ShardLo: 3, ShardHi: 7}
-	req2, err := decodeGradRequest(req.encode())
+	req2, err := decodeGradRequest(enc(&req))
 	if err != nil || *req2 != req {
 		t.Fatalf("grad request round trip: %+v, %v", req2, err)
 	}
@@ -161,7 +165,10 @@ func TestProtocolRoundTrips(t *testing.T) {
 	gr := gradReply{Epoch: 3, Step: 1, Shards: []shardGrad{
 		{Index: 0, Rows: 5, Loss: 1.5, Grads: grads},
 	}}
-	gr2, err := decodeGradReply(gr.encode())
+	// The coordinator never materializes a grad reply (it folds the
+	// payload, see TestFoldReplyMatchesDecodeThenAdd); the reference
+	// decoder proves the encoder writes what the protocol says.
+	gr2, err := refDecodeGradReply(enc(&gr))
 	if err != nil {
 		t.Fatalf("grad reply decode: %v", err)
 	}
@@ -170,23 +177,30 @@ func TestProtocolRoundTrips(t *testing.T) {
 	}
 
 	cm := commit{Epoch: 4, Step: 0, Loss: 0.25, Grads: grads}
-	cm2, err := decodeCommit(cm.encode())
-	if err != nil || cm2.Loss != 0.25 || !sameGrads(cm2.Grads, grads) {
+	cm2, gradBytes, err := decodeCommit(enc(&cm))
+	into := []nn.Grads{{W: tensor.New(4, 3), B: make([]float64, 3)}, {W: tensor.New(3, 2), B: make([]float64, 2)}}
+	if err == nil {
+		err = decodeGrads(gradBytes, into)
+	}
+	if err != nil || cm2.Epoch != 4 || cm2.Step != 0 || cm2.Loss != 0.25 || !sameGrads(into, grads) {
 		t.Fatalf("commit round trip: %+v, %v", cm2, err)
 	}
 
 	e := errMsg{Epoch: 9, Step: 8, Code: errDesync, Text: "position drift"}
-	e2, err := decodeErrMsg(e.encode())
+	e2, err := decodeErrMsg(enc(&e))
 	if err != nil || *e2 != e {
 		t.Fatalf("error round trip: %+v, %v", e2, err)
 	}
 
 	// Every reply payload must lead with (epoch, step) for peekPos.
-	for _, p := range [][]byte{a.encode(), gr.encode(), e.encode()} {
+	for _, p := range [][]byte{enc(&a), enc(&gr), enc(&e)} {
 		epoch, step, err := peekPos(p)
 		if err != nil || epoch == 0 && step == 0 {
 			t.Fatalf("peekPos failed on reply payload: %d/%d %v", epoch, step, err)
 		}
+	}
+	if _, _, err := peekPos(enc(&a)[:7]); err == nil {
+		t.Fatal("peekPos accepted a 7-byte payload")
 	}
 }
 
@@ -223,7 +237,11 @@ func TestShardMathTilesBatches(t *testing.T) {
 func TestReducerEnforcesOrderAndTiling(t *testing.T) {
 	g := rng.New(11)
 	grads := []nn.Grads{{W: randMatrix(g, 2, 2), B: randSlice(g, 2)}}
-	r := newReducer(grads)
+	net, err := nn.NewNetwork(nn.Uniform(2, 2, 0, 2), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newReducer(net)
 	r.Add(1, 5, 10, 1.0, grads)
 	func() {
 		defer func() {

@@ -21,15 +21,18 @@
 // Robustness: every connection read and write carries a deadline, RPCs
 // retry with capped exponential backoff plus seeded jitter, a corrupt
 // frame (caught by the binio payload CRC) is retried rather than
-// trusted, and a worker crash or timeout aborts the step, respawns the
+// trusted — its payload never leaves frameConn.recv —, a frame longer
+// than its connection may carry (64 bytes before a valid hello) is
+// refused on its header, before anything is allocated for it, and a
+// worker crash or timeout aborts the step, respawns the
 // worker, and rejoins it from an SNCK checkpoint carrying the in-flight
 // epoch's batch permutation. The FaultPlan hook injects exactly these
 // failures for tests.
 package dist
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -38,7 +41,6 @@ import (
 	"samplednn/internal/binio"
 	"samplednn/internal/dataset"
 	"samplednn/internal/nn"
-	"samplednn/internal/tensor"
 )
 
 // Frame types. Worker→coordinator reply payloads all begin with
@@ -68,6 +70,76 @@ const (
 	errFatal uint8 = 3
 )
 
+// A message renders its payload by appending to a buffer the
+// connection owns (wireFrame.set): every message has exactly one
+// encoder, and none builds a buffer of its own.
+type message interface {
+	appendTo(b []byte) []byte
+}
+
+func appendU32(b []byte, v int) []byte { return binary.LittleEndian.AppendUint32(b, uint32(v)) }
+
+func appendF64(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+// appendBytes appends a uint32 length prefix and the bytes.
+func appendBytes(b, p []byte) []byte { return append(appendU32(b, len(p)), p...) }
+
+func appendString(b []byte, s string) []byte { return append(appendU32(b, len(s)), s...) }
+
+// cursor reads little-endian fields off a received payload. The first
+// read past the end sets err; every later read returns zero, so a
+// decoder checks once, after its last field.
+type cursor struct {
+	p   []byte
+	err error
+}
+
+// take returns the next n bytes, aliasing the payload.
+func (c *cursor) take(n int) []byte {
+	if c.err == nil && (n < 0 || n > len(c.p)) {
+		c.err = io.ErrUnexpectedEOF
+	}
+	if c.err != nil {
+		return nil
+	}
+	b := c.p[:n:n]
+	c.p = c.p[n:]
+	return b
+}
+
+func (c *cursor) u8() uint8 {
+	if b := c.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (c *cursor) u32() uint32 {
+	if b := c.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (c *cursor) int() int { return int(c.u32()) }
+
+func (c *cursor) u64() uint64 {
+	if b := c.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
+
+// bytes reads a length-prefixed blob. It aliases the payload: valid
+// until the connection's next recv.
+func (c *cursor) bytes() []byte { return c.take(c.int()) }
+
+func (c *cursor) str() string { return string(c.bytes()) }
+
 // hello is the worker's opening message.
 type hello struct {
 	// Rank is the rank assigned at spawn time (from the environment);
@@ -77,24 +149,15 @@ type hello struct {
 	PID int
 }
 
-func (h *hello) encode() []byte {
-	var b bytes.Buffer
-	binio.WriteU32(&b, uint32(h.Rank))
-	binio.WriteU64(&b, uint64(h.PID))
-	return b.Bytes()
+func (h *hello) appendTo(b []byte) []byte {
+	b = appendU32(b, h.Rank)
+	return binary.LittleEndian.AppendUint64(b, uint64(h.PID))
 }
 
 func decodeHello(p []byte) (*hello, error) {
-	r := bytes.NewReader(p)
-	rank, err := binio.ReadU32(r)
-	if err != nil {
-		return nil, err
-	}
-	pid, err := binio.ReadU64(r)
-	if err != nil {
-		return nil, err
-	}
-	return &hello{Rank: int(rank), PID: int(pid)}, nil
+	c := cursor{p: p}
+	h := &hello{Rank: c.int(), PID: int(c.u64())}
+	return h, c.err
 }
 
 // welcome carries everything a worker needs to reconstruct the
@@ -122,70 +185,44 @@ type welcome struct {
 	SnapEvery int
 }
 
-func (w *welcome) encode() []byte {
-	var b bytes.Buffer
-	binio.WriteU32(&b, uint32(w.Rank))
-	binio.WriteString(&b, w.Spec.Name)
+func (w *welcome) appendTo(b []byte) []byte {
+	b = appendU32(b, w.Rank)
+	b = appendString(b, w.Spec.Name)
 	for _, v := range []int{w.Spec.Width, w.Spec.Height, w.Spec.Channels, w.Spec.Classes, w.Spec.Train, w.Spec.Test, w.Spec.Val} {
-		binio.WriteU32(&b, uint32(v))
+		b = appendU32(b, v)
 	}
-	binio.WriteF64(&b, w.Spec.Difficulty)
-	binio.WriteU64(&b, w.DataSeed)
+	b = appendF64(b, w.Spec.Difficulty)
+	b = binary.LittleEndian.AppendUint64(b, w.DataSeed)
 	for _, v := range []int{w.MaxTrain, w.MaxTest, w.MaxVal, w.BatchSize, w.Shards} {
-		binio.WriteU32(&b, uint32(v))
+		b = appendU32(b, v)
 	}
-	binio.WriteString(&b, w.Method)
-	binio.WriteString(&b, w.Optimizer)
-	binio.WriteF64(&b, w.LR)
-	binio.WriteU64(&b, w.Run)
-	binio.WriteU32(&b, uint32(w.SnapEvery))
-	return b.Bytes()
+	b = appendString(b, w.Method)
+	b = appendString(b, w.Optimizer)
+	b = appendF64(b, w.LR)
+	b = binary.LittleEndian.AppendUint64(b, w.Run)
+	return appendU32(b, w.SnapEvery)
 }
 
 func decodeWelcome(p []byte) (*welcome, error) {
-	r := bytes.NewReader(p)
+	c := cursor{p: p}
 	w := &welcome{}
-	var err error
-	readInt := func(dst *int) {
-		if err != nil {
-			return
-		}
-		var v uint32
-		if v, err = binio.ReadU32(r); err == nil {
-			*dst = int(v)
-		}
-	}
-	readInt(&w.Rank)
-	if err == nil {
-		w.Spec.Name, err = binio.ReadString(r)
-	}
+	w.Rank = c.int()
+	w.Spec.Name = c.str()
 	for _, dst := range []*int{&w.Spec.Width, &w.Spec.Height, &w.Spec.Channels, &w.Spec.Classes, &w.Spec.Train, &w.Spec.Test, &w.Spec.Val} {
-		readInt(dst)
+		*dst = c.int()
 	}
-	if err == nil {
-		w.Spec.Difficulty, err = binio.ReadF64(r)
-	}
-	if err == nil {
-		w.DataSeed, err = binio.ReadU64(r)
-	}
+	w.Spec.Difficulty = c.f64()
+	w.DataSeed = c.u64()
 	for _, dst := range []*int{&w.MaxTrain, &w.MaxTest, &w.MaxVal, &w.BatchSize, &w.Shards} {
-		readInt(dst)
+		*dst = c.int()
 	}
-	if err == nil {
-		w.Method, err = binio.ReadString(r)
-	}
-	if err == nil {
-		w.Optimizer, err = binio.ReadString(r)
-	}
-	if err == nil {
-		w.LR, err = binio.ReadF64(r)
-	}
-	if err == nil {
-		w.Run, err = binio.ReadU64(r)
-	}
-	readInt(&w.SnapEvery)
-	if err != nil {
-		return nil, fmt.Errorf("dist: decoding welcome: %w", err)
+	w.Method = c.str()
+	w.Optimizer = c.str()
+	w.LR = c.f64()
+	w.Run = c.u64()
+	w.SnapEvery = c.int()
+	if c.err != nil {
+		return nil, fmt.Errorf("dist: decoding welcome: %w", c.err)
 	}
 	return w, nil
 }
@@ -200,29 +237,16 @@ type syncMsg struct {
 	Blob  []byte
 }
 
-func (s *syncMsg) encode() []byte {
-	var b bytes.Buffer
-	binio.WriteU32(&b, uint32(s.Epoch))
-	binio.WriteU32(&b, uint32(s.Step))
-	binio.WriteBytes(&b, s.Blob)
-	return b.Bytes()
+func (s *syncMsg) appendTo(b []byte) []byte {
+	b = appendU32(b, s.Epoch)
+	b = appendU32(b, s.Step)
+	return appendBytes(b, s.Blob)
 }
 
 func decodeSync(p []byte) (*syncMsg, error) {
-	r := bytes.NewReader(p)
-	epoch, err := binio.ReadU32(r)
-	if err != nil {
-		return nil, err
-	}
-	step, err := binio.ReadU32(r)
-	if err != nil {
-		return nil, err
-	}
-	blob, err := binio.ReadBytes(r)
-	if err != nil {
-		return nil, err
-	}
-	return &syncMsg{Epoch: int(epoch), Step: int(step), Blob: blob}, nil
+	c := cursor{p: p}
+	s := &syncMsg{Epoch: c.int(), Step: c.int(), Blob: c.bytes()}
+	return s, c.err
 }
 
 // posAck is the common shape of syncAck and commitAck: a position plus
@@ -238,34 +262,17 @@ type posAck struct {
 	Snap      []byte
 }
 
-func (a *posAck) encode() []byte {
-	var b bytes.Buffer
-	binio.WriteU32(&b, uint32(a.Epoch))
-	binio.WriteU32(&b, uint32(a.Step))
-	binio.WriteU32(&b, a.WeightCRC)
-	binio.WriteBytes(&b, a.Snap)
-	return b.Bytes()
+func (a *posAck) appendTo(b []byte) []byte {
+	b = appendU32(b, a.Epoch)
+	b = appendU32(b, a.Step)
+	b = binary.LittleEndian.AppendUint32(b, a.WeightCRC)
+	return appendBytes(b, a.Snap)
 }
 
 func decodePosAck(p []byte) (*posAck, error) {
-	r := bytes.NewReader(p)
-	epoch, err := binio.ReadU32(r)
-	if err != nil {
-		return nil, err
-	}
-	step, err := binio.ReadU32(r)
-	if err != nil {
-		return nil, err
-	}
-	crc, err := binio.ReadU32(r)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := binio.ReadBytes(r)
-	if err != nil {
-		return nil, err
-	}
-	return &posAck{Epoch: int(epoch), Step: int(step), WeightCRC: crc, Snap: snap}, nil
+	c := cursor{p: p}
+	a := &posAck{Epoch: c.int(), Step: c.int(), WeightCRC: c.u32(), Snap: c.bytes()}
+	return a, c.err
 }
 
 // gradRequest asks a worker for the gradients of shards [ShardLo,
@@ -277,25 +284,17 @@ type gradRequest struct {
 	ShardHi int
 }
 
-func (g *gradRequest) encode() []byte {
-	var b bytes.Buffer
+func (g *gradRequest) appendTo(b []byte) []byte {
 	for _, v := range []int{g.Epoch, g.Step, g.ShardLo, g.ShardHi} {
-		binio.WriteU32(&b, uint32(v))
+		b = appendU32(b, v)
 	}
-	return b.Bytes()
+	return b
 }
 
 func decodeGradRequest(p []byte) (*gradRequest, error) {
-	r := bytes.NewReader(p)
-	g := &gradRequest{}
-	for _, dst := range []*int{&g.Epoch, &g.Step, &g.ShardLo, &g.ShardHi} {
-		v, err := binio.ReadU32(r)
-		if err != nil {
-			return nil, err
-		}
-		*dst = int(v)
-	}
-	return g, nil
+	c := cursor{p: p}
+	g := &gradRequest{Epoch: c.int(), Step: c.int(), ShardLo: c.int(), ShardHi: c.int()}
+	return g, c.err
 }
 
 // shardGrad is one shard's contribution: its index (the reduction key),
@@ -308,67 +307,39 @@ type shardGrad struct {
 	Grads []nn.Grads
 }
 
-// gradReply carries every shard a worker was asked for.
+// gradReply carries every shard a worker was asked for. The coordinator
+// never materializes one: it walks the payload with shardHead and folds
+// each gradient section from the bytes (reducer.addWire).
 type gradReply struct {
 	Epoch  int
 	Step   int
 	Shards []shardGrad
 }
 
-func (g *gradReply) encode() []byte {
-	var b bytes.Buffer
-	binio.WriteU32(&b, uint32(g.Epoch))
-	binio.WriteU32(&b, uint32(g.Step))
-	binio.WriteU32(&b, uint32(len(g.Shards)))
+func (g *gradReply) appendTo(b []byte) []byte {
+	b = appendU32(b, g.Epoch)
+	b = appendU32(b, g.Step)
+	b = appendU32(b, len(g.Shards))
 	for i := range g.Shards {
 		s := &g.Shards[i]
-		binio.WriteU32(&b, uint32(s.Index))
-		binio.WriteU32(&b, uint32(s.Rows))
-		binio.WriteF64(&b, s.Loss)
-		writeGrads(&b, s.Grads)
+		b = appendU32(b, s.Index)
+		b = appendU32(b, s.Rows)
+		b = appendF64(b, s.Loss)
+		b = appendGrads(b, s.Grads)
 	}
-	return b.Bytes()
+	return b
 }
 
-func decodeGradReply(p []byte) (*gradReply, error) {
-	r := bytes.NewReader(p)
-	g := &gradReply{}
-	epoch, err := binio.ReadU32(r)
-	if err != nil {
-		return nil, err
-	}
-	step, err := binio.ReadU32(r)
-	if err != nil {
-		return nil, err
-	}
-	g.Epoch, g.Step = int(epoch), int(step)
-	n, err := binio.ReadU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<16 {
-		return nil, fmt.Errorf("dist: implausible shard count %d", n)
-	}
-	g.Shards = make([]shardGrad, n)
-	for i := range g.Shards {
-		s := &g.Shards[i]
-		idx, err := binio.ReadU32(r)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := binio.ReadU32(r)
-		if err != nil {
-			return nil, err
-		}
-		s.Index, s.Rows = int(idx), int(rows)
-		if s.Loss, err = binio.ReadF64(r); err != nil {
-			return nil, err
-		}
-		if s.Grads, err = readGrads(r); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
+// gradReplyHead reads a gradReply's position and shard count, leaving
+// the cursor on the first shard.
+func gradReplyHead(c *cursor) (epoch, step, shards int) {
+	return c.int(), c.int(), c.int()
+}
+
+// shardHead reads one shard's index, row count and loss, leaving the
+// cursor on its gradient section.
+func shardHead(c *cursor) (index, rows int, loss float64) {
+	return c.int(), c.int(), c.f64()
 }
 
 // commit distributes the reduced gradient for (Epoch, Step); every
@@ -381,34 +352,20 @@ type commit struct {
 	Grads []nn.Grads
 }
 
-func (c *commit) encode() []byte {
-	var b bytes.Buffer
-	binio.WriteU32(&b, uint32(c.Epoch))
-	binio.WriteU32(&b, uint32(c.Step))
-	binio.WriteF64(&b, c.Loss)
-	writeGrads(&b, c.Grads)
-	return b.Bytes()
+func (c *commit) appendTo(b []byte) []byte {
+	b = appendU32(b, c.Epoch)
+	b = appendU32(b, c.Step)
+	b = appendF64(b, c.Loss)
+	return appendGrads(b, c.Grads)
 }
 
-func decodeCommit(p []byte) (*commit, error) {
-	r := bytes.NewReader(p)
-	c := &commit{}
-	epoch, err := binio.ReadU32(r)
-	if err != nil {
-		return nil, err
-	}
-	step, err := binio.ReadU32(r)
-	if err != nil {
-		return nil, err
-	}
-	c.Epoch, c.Step = int(epoch), int(step)
-	if c.Loss, err = binio.ReadF64(r); err != nil {
-		return nil, err
-	}
-	if c.Grads, err = readGrads(r); err != nil {
-		return nil, err
-	}
-	return c, nil
+// decodeCommit reads a commit's position and loss and returns its
+// gradient section undecoded: the worker position-checks first and
+// then decodes that section into its retained gradients (decodeGrads).
+func decodeCommit(p []byte) (cm commit, grads []byte, err error) {
+	c := cursor{p: p}
+	cm = commit{Epoch: c.int(), Step: c.int(), Loss: c.f64()}
+	return cm, c.p, c.err
 }
 
 // errMsg reports a worker-side failure with a recovery hint.
@@ -419,105 +376,109 @@ type errMsg struct {
 	Text  string
 }
 
-func (e *errMsg) encode() []byte {
-	var b bytes.Buffer
-	binio.WriteU32(&b, uint32(e.Epoch))
-	binio.WriteU32(&b, uint32(e.Step))
-	binio.WriteU8(&b, e.Code)
-	binio.WriteString(&b, e.Text)
-	return b.Bytes()
+func (e *errMsg) appendTo(b []byte) []byte {
+	b = appendU32(b, e.Epoch)
+	b = appendU32(b, e.Step)
+	b = append(b, e.Code)
+	return appendString(b, e.Text)
 }
 
 func decodeErrMsg(p []byte) (*errMsg, error) {
-	r := bytes.NewReader(p)
-	e := &errMsg{}
-	epoch, err := binio.ReadU32(r)
-	if err != nil {
-		return nil, err
-	}
-	step, err := binio.ReadU32(r)
-	if err != nil {
-		return nil, err
-	}
-	e.Epoch, e.Step = int(epoch), int(step)
-	if e.Code, err = binio.ReadU8(r); err != nil {
-		return nil, err
-	}
-	if e.Text, err = binio.ReadString(r); err != nil {
-		return nil, err
-	}
-	return e, nil
+	c := cursor{p: p}
+	e := &errMsg{Epoch: c.int(), Step: c.int(), Code: c.u8(), Text: c.str()}
+	return e, c.err
 }
 
 // peekPos extracts the (epoch, step) header every worker→coordinator
 // payload begins with, letting the coordinator order frames without a
 // full decode.
 func peekPos(p []byte) (epoch, step int, err error) {
-	if len(p) < 8 {
-		return 0, 0, io.ErrUnexpectedEOF
-	}
-	return int(binary.LittleEndian.Uint32(p)), int(binary.LittleEndian.Uint32(p[4:])), nil
+	c := cursor{p: p}
+	epoch, step = c.int(), c.int()
+	return epoch, step, c.err
 }
 
-func writeGrads(w io.Writer, grads []nn.Grads) {
-	binio.WriteU32(w, uint32(len(grads)))
+// Gradient section, shared by gradReply shards and commit: layer count
+// (u32), then per layer rows (u32), cols (u32), the weight gradient and
+// the bias gradient, each as binio.AppendFloats writes a slice.
+
+func appendGrads(b []byte, grads []nn.Grads) []byte {
+	b = appendU32(b, len(grads))
 	for _, g := range grads {
-		binio.WriteU32(w, uint32(g.W.Rows))
-		binio.WriteU32(w, uint32(g.W.Cols))
-		binio.WriteFloats(w, g.W.Data)
-		binio.WriteFloats(w, g.B)
+		b = appendU32(b, g.W.Rows)
+		b = appendU32(b, g.W.Cols)
+		b = binio.AppendFloats(b, g.W.Data)
+		b = binio.AppendFloats(b, g.B)
 	}
+	return b
 }
 
-func readGrads(r io.Reader) ([]nn.Grads, error) {
-	n, err := binio.ReadU32(r)
-	if err != nil {
-		return nil, err
+// walkGrads walks a gradient section shaped like the given gradients
+// and hands each weight and bias slice's raw little-endian bytes to
+// visit, in wire order. Every header field is checked against the local
+// shape before its bytes are handed out — a peer cannot make the caller
+// read or write past a slice it sized itself — and the cursor is left
+// just behind the section.
+func walkGrads(c *cursor, like []nn.Grads, visit func(dst []float64, src []byte)) error {
+	if n := c.int(); c.err == nil && n != len(like) {
+		return fmt.Errorf("dist: gradient carries %d layers, model has %d", n, len(like))
 	}
-	if n > 1<<12 {
-		return nil, fmt.Errorf("dist: implausible layer count %d", n)
+	for i, g := range like {
+		rows, cols, nw := c.int(), c.int(), c.int()
+		w := c.take(8 * len(g.W.Data))
+		nb := c.int()
+		b := c.take(8 * len(g.B))
+		if c.err != nil {
+			break
+		}
+		if rows != g.W.Rows || cols != g.W.Cols || nw != len(g.W.Data) || nb != len(g.B) {
+			return fmt.Errorf("dist: layer %d gradient is %dx%d (%d weights, %d biases), model has %dx%d (%d biases)",
+				i, rows, cols, nw, nb, g.W.Rows, g.W.Cols, len(g.B))
+		}
+		visit(g.W.Data, w)
+		visit(g.B, b)
 	}
-	grads := make([]nn.Grads, n)
-	for i := range grads {
-		rows, err := binio.ReadU32(r)
-		if err != nil {
-			return nil, err
-		}
-		cols, err := binio.ReadU32(r)
-		if err != nil {
-			return nil, err
-		}
-		data, err := binio.ReadFloats(r)
-		if err != nil {
-			return nil, err
-		}
-		if len(data) != int(rows)*int(cols) {
-			return nil, fmt.Errorf("dist: gradient %dx%d carries %d values", rows, cols, len(data))
-		}
-		b, err := binio.ReadFloats(r)
-		if err != nil {
-			return nil, err
-		}
-		grads[i] = nn.Grads{W: &tensor.Matrix{Rows: int(rows), Cols: int(cols), Data: data}, B: b}
+	if c.err != nil {
+		return fmt.Errorf("dist: gradient section truncated: %w", c.err)
 	}
-	return grads, nil
+	return nil
+}
+
+// decodeGrads decodes a gradient section into grads, which must already
+// have the model's shapes; nothing is allocated.
+func decodeGrads(p []byte, grads []nn.Grads) error {
+	c := cursor{p: p}
+	if err := walkGrads(&c, grads, binio.DecodeFloats); err != nil {
+		return err
+	}
+	if len(c.p) != 0 {
+		return errors.New("dist: bytes left behind the gradient section")
+	}
+	return nil
 }
 
 // weightCRC hashes every layer's weights and biases (IEEE-754 bits,
 // little-endian, layer order) — the cheap replica-equality certificate
-// exchanged on every sync and commit.
+// exchanged on every sync and commit. The bytes go to the hash in 4 KiB
+// blocks; the value is that of hashing them one float at a time.
 func weightCRC(net *nn.Network) uint32 {
-	h := crc32.NewIEEE()
-	var buf [8]byte
+	var crc uint32
 	for _, l := range net.Layers {
-		for _, v := range l.W.Data {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
-		for _, v := range l.B {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
+		crc = crcFloats(crcFloats(crc, l.W.Data), l.B)
 	}
-	return h.Sum32()
+	return crc
+}
+
+// crcFloats extends crc by the little-endian bits of vals. A function
+// of its own, not a loop nest in weightCRC: the compiler keeps this
+// small loop's state in registers and the hash runs a third faster.
+func crcFloats(crc uint32, vals []float64) uint32 {
+	var buf [4096]byte
+	for len(vals) > 0 {
+		k := min(len(vals), len(buf)/8)
+		binio.EncodeFloats(buf[:], vals[:k])
+		crc = crc32.Update(crc, crc32.IEEETable, buf[:8*k])
+		vals = vals[k:]
+	}
+	return crc
 }

@@ -1,8 +1,11 @@
 package dist
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
+
 	"samplednn/internal/nn"
-	"samplednn/internal/tensor"
 )
 
 // shardRange returns the row interval [lo, hi) of shard s when a batch
@@ -23,14 +26,12 @@ func workerShards(shards, w, r int) (lo, hi int) {
 }
 
 // newReducer returns a reducer with zeroed accumulators shaped like the
-// given layer gradients.
-func newReducer(like []nn.Grads) *reducer {
-	acc := make([]nn.Grads, len(like))
-	for i, g := range like {
-		acc[i] = nn.Grads{
-			W: tensor.New(g.W.Rows, g.W.Cols),
-			B: make([]float64, len(g.B)),
-		}
+// network's layers. It lives as long as its coordinator: reset clears
+// it for the next step, so no step allocates a gradient.
+func newReducer(net *nn.Network) *reducer {
+	acc := make([]nn.Grads, len(net.Layers))
+	for i, l := range net.Layers {
+		acc[i] = l.ZeroGrads()
 	}
 	return &reducer{acc: acc, pending: -1}
 }
@@ -49,6 +50,15 @@ type reducer struct {
 	pending int // last shard index folded, -1 before the first
 }
 
+// reset zeroes the accumulators for a new step.
+func (r *reducer) reset() {
+	for _, g := range r.acc {
+		clear(g.W.Data)
+		clear(g.B)
+	}
+	r.loss, r.rows, r.pending = 0, 0, -1
+}
+
 // Add folds one shard's gradient, scaled by its share of the total
 // batch rows, into the accumulator.
 func (r *reducer) Add(index, rows, total int, loss float64, grads []nn.Grads) {
@@ -58,19 +68,52 @@ func (r *reducer) Add(index, rows, total int, loss float64, grads []nn.Grads) {
 	if len(grads) != len(r.acc) {
 		panic("dist: reducer offered mismatched layer count")
 	}
-	r.pending = index
 	scale := float64(rows) / float64(total)
 	for i, g := range grads {
-		aw, gw := r.acc[i].W.Data, g.W.Data
-		for j := range aw {
-			aw[j] += scale * gw[j]
-		}
-		ab := r.acc[i].B
-		for j := range ab {
-			ab[j] += scale * g.B[j]
-		}
+		foldFloats(r.acc[i].W.Data, g.W.Data, scale)
+		foldFloats(r.acc[i].B, g.B, scale)
 	}
-	r.loss += scale * loss
+	r.folded(index, rows, scale*loss)
+}
+
+// foldFloats adds scale·g into acc, ascending.
+func foldFloats(acc, g []float64, scale float64) {
+	g = g[:len(acc)]
+	for j := range acc {
+		acc[j] += scale * g[j]
+	}
+}
+
+// addWire is Add for a shard still in wire form: c stands on the
+// gradient section of a gradReply payload that has passed its frame
+// CRC, and each value goes from the payload bytes into the accumulator
+// with the arithmetic of Add — acc += scale·g, ascending j — so the sum
+// is the same bit for bit and the gradient is never materialized. What
+// a peer sends is input, not a bug: an out-of-order shard or a section
+// that does not match the model is an error here, where Add panics. An
+// error can leave some layers folded; the caller abandons the step and
+// the next one starts from reset.
+func (r *reducer) addWire(index, rows, total int, loss float64, c *cursor) error {
+	if index <= r.pending {
+		return fmt.Errorf("dist: shard %d offered after shard %d", index, r.pending)
+	}
+	scale := float64(rows) / float64(total)
+	err := walkGrads(c, r.acc, func(acc []float64, src []byte) {
+		src = src[:8*len(acc)] // one bounds check, not one per value
+		for j := range acc {
+			acc[j] += scale * math.Float64frombits(binary.LittleEndian.Uint64(src[8*j:]))
+		}
+	})
+	if err != nil {
+		return err
+	}
+	r.folded(index, rows, scale*loss)
+	return nil
+}
+
+func (r *reducer) folded(index, rows int, loss float64) {
+	r.pending = index
+	r.loss += loss
 	r.rows += rows
 }
 

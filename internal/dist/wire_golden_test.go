@@ -42,7 +42,7 @@ func goldenGrads() []nn.Grads {
 
 // goldenConn is a frameConn about to send seq 1 with clock 42.
 func goldenConn() *frameConn {
-	fc := newFrameConn(nil, 0)
+	fc := newFrameConn(nil, 0, 0)
 	fc.clock = obs.NewClock()
 	fc.clock.Witness(41)
 	return fc
@@ -59,7 +59,7 @@ func goldenBlob() []byte {
 }
 
 // goldenWireFrames renders the four pinned messages to wire bytes.
-func goldenWireFrames() map[string][]byte {
+func goldenWireFrames(t *testing.T) map[string][]byte {
 	grads := goldenGrads()
 	reply := gradReply{Epoch: 3, Step: 17, Shards: []shardGrad{
 		{Index: 2, Rows: 4, Loss: 0.75, Grads: grads},
@@ -68,16 +68,29 @@ func goldenWireFrames() map[string][]byte {
 	cm := commit{Epoch: 3, Step: 17, Loss: 0.9375, Grads: grads}
 	ack := posAck{Epoch: 3, Step: 17, WeightCRC: 0xdeadbeef, Snap: []byte(`{"counters":{"x":1}}`)}
 	sm := syncMsg{Epoch: 3, Step: 17, Blob: goldenBlob()}
-	return map[string][]byte{
-		"gradReply": goldenConn().encode(msgGradReply, goldenCtx, reply.encode()),
-		"commit":    goldenConn().encode(msgCommit, goldenCtx, cm.encode()),
-		"posAck":    goldenConn().encode(msgCommitAck, goldenCtx, ack.encode()),
-		"syncMsg":   goldenConn().encode(msgSync, goldenCtx, sm.encode()),
+	frames := map[string][]byte{}
+	for _, f := range []struct {
+		name string
+		typ  uint8
+		m    message
+	}{
+		{"gradReply", msgGradReply, &reply},
+		{"commit", msgCommit, &cm},
+		{"posAck", msgCommitAck, &ack},
+		{"syncMsg", msgSync, &sm},
+	} {
+		fc := goldenConn()
+		fc.out.set(f.m)
+		if err := fc.seal(&fc.out, f.typ, goldenCtx); err != nil {
+			t.Fatal(err)
+		}
+		frames[f.name] = fc.out.buf
 	}
+	return frames
 }
 
 func TestWireGolden(t *testing.T) {
-	frames := goldenWireFrames()
+	frames := goldenWireFrames(t)
 	var lines []string
 	for name, b := range frames {
 		sum := sha256.Sum256(b)

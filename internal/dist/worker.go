@@ -126,10 +126,15 @@ type worker struct {
 	// The current step's batch, copied out of the batcher (which reuses
 	// its buffers) so duplicate gradient requests — retries after a
 	// corrupt or dropped frame, or a step re-run after a peer died —
-	// recompute from identical rows.
+	// recompute from identical rows. bx and by are retained and
+	// overwritten step after step.
 	haveBatch bool
-	bx        *tensor.Matrix
+	bx        tensor.Matrix
 	by        []int
+
+	// grads receives every commit's reduced gradient; shaped like the
+	// replica's layers at sync, overwritten in place afterwards.
+	grads []nn.Grads
 
 	// lastAck replays the commit ack when a duplicate commit arrives
 	// (the coordinator retried because our ack was lost).
@@ -154,7 +159,10 @@ func runWorker(addr string, rank int, killSpec string, journal *obs.Journal) err
 	if err != nil {
 		return fmt.Errorf("dialing coordinator: %w", err)
 	}
-	w := &worker{fc: newFrameConn(conn, 10*time.Second), rank: rank, journal: journal, registry: obs.Default}
+	// The worker dialed the coordinator it was told to trust, and only
+	// learns the model's size from that coordinator's first sync, so its
+	// side of the connection accepts any frame binio does.
+	w := &worker{fc: newFrameConn(conn, 10*time.Second, binio.MaxFrameLen), rank: rank, journal: journal, registry: obs.Default}
 	// A fresh clock that witnesses the coordinator's value on the very
 	// first frame, so every worker journal record sorts causally after
 	// the coordinator events that led to it.
@@ -170,8 +178,7 @@ func runWorker(addr string, rank int, killSpec string, journal *obs.Journal) err
 		w.hasKill = true
 	}
 
-	h := hello{Rank: rank, PID: os.Getpid()}
-	if err := w.fc.send(msgHello, obs.Ctx{}, h.encode()); err != nil {
+	if err := w.fc.send(msgHello, obs.Ctx{}, &hello{Rank: rank, PID: os.Getpid()}); err != nil {
 		return fmt.Errorf("sending hello: %w", err)
 	}
 	f, err := w.fc.recv(w.fc.timeout)
@@ -322,6 +329,10 @@ func (w *worker) handleSync(cx obs.Ctx, payload []byte) error {
 	}
 	w.batcher.Skip(s.Step)
 	w.method = core.NewStandard(net, w.optim)
+	w.grads = make([]nn.Grads, len(net.Layers))
+	for i, l := range net.Layers {
+		w.grads[i] = l.ZeroGrads()
+	}
 	w.epoch, w.step = s.Epoch, s.Step
 	w.synced = true
 	w.haveBatch = false
@@ -332,7 +343,7 @@ func (w *worker) handleSync(cx obs.Ctx, payload []byte) error {
 	// just respawned, and the coordinator's /metrics should reflect the
 	// new process immediately.
 	ack := posAck{Epoch: s.Epoch, Step: s.Step, WeightCRC: weightCRC(net), Snap: w.snapshotBlob()}
-	return w.fc.send(msgSyncAck, cx, ack.encode())
+	return w.fc.send(msgSyncAck, cx, &ack)
 }
 
 // snapshotBlob encodes the worker's registry for ack piggybacking; any
@@ -383,11 +394,7 @@ func (w *worker) handleGradRequest(cx obs.Ctx, payload []byte) error {
 			w.fc.sendErr(cx, w.epoch, w.step, errDesync, "batcher exhausted before epoch end")
 			return nil
 		}
-		// Copy: the batcher reuses its buffers, and retries must see the
-		// same rows.
-		w.bx = x.Clone()
-		w.by = append(w.by[:0], y...)
-		w.haveBatch = true
+		w.keepBatch(x, y)
 	}
 	if req.ShardLo < 0 || req.ShardHi > w.shards || req.ShardLo >= req.ShardHi {
 		w.fc.sendErr(cx, w.epoch, w.step, errFatal,
@@ -404,7 +411,15 @@ func (w *worker) handleGradRequest(cx obs.Ctx, payload []byte) error {
 		loss, grads := w.method.ComputeGrads(w.bx.RowRange(lo, hi), w.by[lo:hi])
 		reply.Shards = append(reply.Shards, shardGrad{Index: s, Rows: hi - lo, Loss: loss, Grads: grads})
 	}
-	return w.fc.send(msgGradReply, cx, reply.encode())
+	return w.fc.send(msgGradReply, cx, &reply)
+}
+
+// keepBatch copies the step's batch into the worker's retained buffers:
+// the batcher reuses its own, and retries must see the same rows.
+func (w *worker) keepBatch(x *tensor.Matrix, y []int) {
+	w.bx = tensor.Matrix{Rows: x.Rows, Cols: x.Cols, Data: append(w.bx.Data[:0], x.Data...)}
+	w.by = append(w.by[:0], y...)
+	w.haveBatch = true
 }
 
 // handleCommit applies the reduced gradient — the identical bytes every
@@ -413,19 +428,22 @@ func (w *worker) handleGradRequest(cx obs.Ctx, payload []byte) error {
 // coordinator's trainer does. The returned weight CRC lets the
 // coordinator verify the replicas are still bit-identical.
 func (w *worker) handleCommit(cx obs.Ctx, payload []byte) error {
-	c, err := decodeCommit(payload)
+	c, gradBytes, err := decodeCommit(payload)
 	if err != nil {
 		return fmt.Errorf("decoding commit: %w", err)
 	}
 	if a := w.lastAck; a != nil && c.Epoch == a.Epoch && c.Step == a.Step {
 		// Duplicate commit: our ack was lost. Replay it without
 		// re-applying the gradient.
-		return w.fc.send(msgCommitAck, cx, a.encode())
+		return w.fc.send(msgCommitAck, cx, a)
 	}
 	if !w.synced || c.Epoch != w.epoch || c.Step != w.step {
 		w.fc.sendErr(cx, w.epoch, w.step, errDesync,
 			fmt.Sprintf("commit for step %d/%d, standing at %d/%d", c.Epoch, c.Step, w.epoch, w.step))
 		return nil
+	}
+	if err := decodeGrads(gradBytes, w.grads); err != nil {
+		return fmt.Errorf("decoding commit: %w", err)
 	}
 	if !w.haveBatch {
 		// This worker was assigned no shards this step (more workers
@@ -433,7 +451,7 @@ func (w *worker) handleCommit(cx obs.Ctx, payload []byte) error {
 		// batcher past it to stay aligned with the permutation.
 		w.batcher.Skip(1)
 	}
-	w.method.ApplyGrads(c.Grads)
+	w.method.ApplyGrads(w.grads)
 	w.haveBatch = false
 	w.step++
 	if w.step >= w.numBatches {
@@ -454,7 +472,7 @@ func (w *worker) handleCommit(cx obs.Ctx, payload []byte) error {
 	replay := ack
 	replay.Snap = nil
 	w.lastAck = &replay
-	return w.fc.send(msgCommitAck, cx, ack.encode())
+	return w.fc.send(msgCommitAck, cx, &ack)
 }
 
 // killEnvValue renders a KillFault for EnvKill.
