@@ -8,7 +8,7 @@ GO ?= go
 # math.FMA computes the same correctly-rounded value on every path.
 export GOAMD64 ?= v3
 
-.PHONY: build test tier1 lint bench bench-gemm bench-trace bench-obs bench-dist bench-serve bench-lint vet fmt journal-demo trace-demo
+.PHONY: build test tier1 lint bench bench-gemm bench-dist bench-lint vet fmt journal-demo trace-demo
 
 build:
 	$(GO) build ./...
@@ -31,9 +31,11 @@ lint:
 # kernels, parallel ALSH workers — including internal/core's golden
 # weight digests and the multi-worker twin-run determinism tests —
 # tracer/metrics registry, the checkpoint/resume machinery, and the
-# serving layer's concurrent predict + hot-swap path; internal/bench
-# dominates the runtime), then three seconds each of the two fuzz
-# targets over bytes a peer controls: binio frames and dist's gradient
+# serving layer's concurrent predict + hot-swap path; on the 2-CPU host
+# the race run takes ~3 min wall, packages side by side, the longest
+# being the root package's integration tests at ~145 s, internal/bench
+# at ~70 s and benchmark/ at ~50 s), then three seconds each of the two
+# fuzz targets over bytes a peer controls: binio frames and dist's gradient
 # payloads (error or valid value, never a panic, allocation bounded by
 # the input's length).
 tier1: lint
@@ -45,15 +47,18 @@ tier1: lint
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 10x .
 
-# Serial-vs-parallel GEMM kernel sweep; every parallel point is checked
-# bit-for-bit against the serial kernel before its timing is recorded.
-# -autotune picks the packed-GEMM block sizes for this host first;
-# -baseline gates the run against the committed report, failing on any
-# serial point that lost >20% GFLOPS (the output is written only when
-# the gate passes).
+# The three component ledgers, all through cmd/bench (one envelope, one
+# atomic write; see its doc comment for what each suite measures that
+# benchmark/ does not).
+#
+# Serial-vs-parallel GEMM kernel sweep under the block sizes every run
+# uses; every parallel point is checked bit-for-bit against the serial
+# kernel before its timing is recorded. -baseline gates the run against
+# the committed report, failing on any serial point that lost >20%
+# GFLOPS and when no point could be compared (the output is written only
+# when the gate passes).
 bench-gemm:
-	$(GO) run ./cmd/benchgemm -sizes 128,256,512 -workers 1,2,4 \
-		-autotune -baseline BENCH_gemm.json -out BENCH_gemm.json
+	$(GO) run ./cmd/bench gemm -baseline BENCH_gemm.json
 
 # Distributed data-parallel throughput sweep on the two benchmark shapes:
 # steady-state steps/sec and the coordinator's encode / wire / fold /
@@ -61,34 +66,14 @@ bench-gemm:
 # its dist stage) against the in-process reference, every point checked
 # byte-for-byte against the single-process weights before it is recorded.
 bench-dist:
-	$(GO) run ./cmd/benchdist -workers 1,2 -epochs 5 -out BENCH_distributed.json
-
-# Serving-layer sweep: /predict latency percentiles and throughput at
-# 1, 2, and 4 closed-loop workers against a real mlpserve instance on a
-# loopback port; every point's responses are verified against a local
-# forward pass of the served checkpoint before its timing is recorded.
-bench-serve:
-	$(GO) run ./cmd/benchserve -workers 1,2,4 -requests 300 -rows 4 -out BENCH_serve.json
-
-# Tracer and error-probe overhead on ALSH-approx training: two baseline
-# runs expose the host noise floor, then tracer-on / probe-on / both are
-# measured against their mean.
-bench-trace:
-	$(GO) run ./cmd/benchtrace -scale small -out BENCH_trace.json
-
-# Correlation-plane overhead: ns per context-stamped dist frame round
-# trip (vs the zero-context baseline), ns per HTTP request-context
-# derivation, and the disabled journal path; merged into BENCH_trace.json
-# next to the tracer numbers.
-bench-obs:
-	$(GO) run ./cmd/benchtrace -obs -out BENCH_trace.json
+	$(GO) run ./cmd/bench dist
 
 # Analyzer-suite timing: loader wall time (parse + wave-parallel
 # type-checking over internal/pool) and analysis wall time (call graph,
 # fact fixpoint, checks) over the real module, each iteration from a
 # cold loader.
 bench-lint:
-	$(GO) run ./cmd/benchlint -iters 3 -out BENCH_lint.json
+	$(GO) run ./cmd/bench lint
 
 # Two-epoch synthetic run that journals every event, then pretty-prints
 # the journal — the fastest way to see the telemetry schema end to end.

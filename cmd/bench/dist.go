@@ -1,10 +1,9 @@
-package bench
+package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"runtime"
+	"io"
 
 	"samplednn/internal/core"
 	"samplednn/internal/dataset"
@@ -16,16 +15,18 @@ import (
 	"samplednn/internal/train"
 )
 
-// Distributed data-parallel throughput sweep (BENCH_distributed.json).
-// Every point trains the same model on the same data with the same
-// fixed shard count, varying only the number of worker processes, and
-// is checked byte-for-byte against the in-process reference before its
-// timing is reported — the dist package's determinism contract makes
-// worker count a pure throughput knob. The two models are the shapes
-// benchmark/ runs its dist stage at, so a point with two workers and
-// two shards is that stage by another route. Steps/sec is steady state:
-// the first epoch — worker spawn, dataset regeneration, the first sync,
-// buffers growing to size — is run and dropped, as benchmark/ does.
+// The dist suite: a worker-count sweep of data-parallel training
+// (benchmark/ runs two workers only) and the one reader of the
+// coordinator's dist.stage_ns.* split. Every point trains the same
+// model on the same data with the same fixed shard count, varying only
+// the number of worker processes, and is checked byte-for-byte against
+// the in-process reference before its timing is reported — the dist
+// package's determinism contract makes worker count a pure throughput
+// knob. The two models are the shapes benchmark/ runs its dist stage
+// at, so a point with two workers and two shards is that stage by
+// another route. Steps/sec is steady state: the first epoch — worker
+// spawn, dataset regeneration, the first sync, buffers growing to size
+// — is run and dropped, as benchmark/ does.
 
 // distShape is one benchmarked model and batch: synthetic MNIST into
 // three hidden layers of Width.
@@ -39,8 +40,8 @@ var distShapes = []distShape{
 	{Name: "mb20_w256", Width: 256, Batch: 60, TrainN: 1200},
 }
 
-// DistPoint is one worker-count measurement of one shape.
-type DistPoint struct {
+// distPoint is one worker-count measurement of one shape.
+type distPoint struct {
 	Shape        string `json:"shape"`
 	Params       int    `json:"params"`
 	BatchSize    int    `json:"batch_size"`
@@ -69,36 +70,33 @@ type DistPoint struct {
 	FinalLoss    float64 `json:"final_loss"`
 }
 
-// DistReport is the BENCH_distributed.json payload.
-type DistReport struct {
-	Host struct {
-		CPUs       int `json:"cpus"`
-		GOMAXPROCS int `json:"gomaxprocs"`
-	} `json:"host"`
+// distReport is the BENCH_distributed.json payload.
+type distReport struct {
 	// Epochs is the measured epoch count; one more is run first and
 	// dropped.
 	Epochs int         `json:"epochs"`
 	Shards int         `json:"shards"`
-	Points []DistPoint `json:"points"`
+	Points []distPoint `json:"points"`
 	Notes  []string    `json:"notes,omitempty"`
 }
 
 // runDistPoint trains one shape once with the given worker count and
-// returns the point (speedup and identity unset) plus the final weight
+// returns the point (speedup and identity unset), the relative standard
+// deviation of its measured epochs' durations, and the final weight
 // bytes.
-func runDistPoint(sh distShape, workers, shards, epochs int) (DistPoint, []byte, error) {
+func runDistPoint(sh distShape, workers, shards, epochs int) (distPoint, float64, []byte, error) {
 	dopts := dataset.Options{Seed: 42, MaxTrain: sh.TrainN, MaxTest: 50, MaxVal: 1}
 	ds, err := dataset.Generate("mnist", dopts)
 	if err != nil {
-		return DistPoint{}, nil, err
+		return distPoint{}, 0, nil, err
 	}
 	net, err := nn.NewNetwork(nn.Uniform(ds.Spec.Dim(), sh.Width, 3, ds.Spec.Classes), rng.New(43))
 	if err != nil {
-		return DistPoint{}, nil, err
+		return distPoint{}, 0, nil, err
 	}
 	optim, err := opt.ByName("momentum", 0.05)
 	if err != nil {
-		return DistPoint{}, nil, err
+		return distPoint{}, 0, nil, err
 	}
 	m := core.NewStandard(net, optim)
 	reg := obs.NewRegistry()
@@ -106,33 +104,36 @@ func runDistPoint(sh distShape, workers, shards, epochs int) (DistPoint, []byte,
 		Workers: workers, Shards: shards, Data: dopts, Seed: 7, Registry: reg,
 	})
 	if err != nil {
-		return DistPoint{}, nil, err
+		return distPoint{}, 0, nil, err
 	}
 	defer co.Close()
 	tr, err := train.New(m, ds, train.Config{
 		Epochs: epochs + 1, BatchSize: sh.Batch, Seed: 7, Stepper: co, Registry: reg,
 	})
 	if err != nil {
-		return DistPoint{}, nil, err
+		return distPoint{}, 0, nil, err
 	}
 	hist, err := tr.Run()
 	if err != nil {
-		return DistPoint{}, nil, err
+		return distPoint{}, 0, nil, err
 	}
 	var weights bytes.Buffer
 	if err := net.Save(&weights); err != nil {
-		return DistPoint{}, nil, err
+		return distPoint{}, 0, nil, err
 	}
 
-	p := DistPoint{
+	p := distPoint{
 		Shape: sh.Name, Params: net.NumParams(), BatchSize: sh.Batch, TrainSamples: ds.Train.Len(),
 		Workers: workers, Shards: shards,
 		FinalLoss: hist.Epochs[len(hist.Epochs)-1].TrainLoss,
 	}
+	var epochSeconds []float64
 	for _, e := range hist.Epochs[1:] {
 		p.Steps += e.Batches
 		p.Seconds += e.Duration.Seconds()
+		epochSeconds = append(epochSeconds, e.Duration.Seconds())
 	}
+	mean, sd := meanStddev(epochSeconds)
 	p.StepsPerSec = float64(p.Steps) / p.Seconds
 	dists := reg.Snapshot().Dists
 	p.ReduceMS = dists["dist.reduce_ns"].Mean / 1e6
@@ -142,53 +143,52 @@ func runDistPoint(sh distShape, workers, shards, epochs int) (DistPoint, []byte,
 			p.StageMS[stage] = dists["dist.stage_ns."+stage].Mean / 1e6
 		}
 	}
-	return p, weights.Bytes(), nil
+	return p, sd / mean, weights.Bytes(), nil
 }
 
-// RunDistBench measures steady-state training throughput of both shapes
-// at each worker count against the workers=0 in-process reference,
-// over epochs measured epochs. Shards is fixed at the largest worker
-// count so every point of a shape computes the identical reduced
-// gradient; a point whose final weights differ from the reference is
-// marked, and the caller fails the sweep.
-func RunDistBench(workerCounts []int, epochs int) (*DistReport, error) {
+// runDist is the dist suite: steady-state training throughput of both
+// shapes at each worker count, over epochs measured epochs, one line per
+// point. The workers=0 in-process run comes first and is the reference:
+// shards is fixed at the largest worker count so every point of a shape
+// computes the identical reduced gradient, and a point whose final
+// weights differ from the reference's fails the suite.
+func runDist(stdout io.Writer, workerCounts []int, epochs int) (measured, error) {
 	shards := 1
 	for _, w := range workerCounts {
 		shards = max(shards, w)
 	}
-	rep := &DistReport{Epochs: epochs, Shards: shards}
-	rep.Host.CPUs = runtime.NumCPU()
-	rep.Host.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	rep.Notes = append(rep.Notes,
+	rep := &distReport{Epochs: epochs, Shards: shards, Notes: []string{
 		"steady state: one epoch (worker spawn, first sync, buffer growth) is run and dropped before the measured ones",
 		"stage_ms_per_step is the coordinator's view and sums to reduce_ms_per_step; wire includes the time workers spend computing and applying",
-		"workers are processes on this host: with more workers than idle CPUs, speedup_vs_single measures the exchange, not scaling")
-
+		"workers are processes on this host: with more workers than idle CPUs, speedup_vs_single measures the exchange, not scaling",
+	}}
+	m := measured{report: rep, runs: epochs}
 	for _, sh := range distShapes {
-		ref, refW, err := runDistPoint(sh, 0, shards, epochs)
-		if err != nil {
-			return nil, fmt.Errorf("%s reference run: %w", sh.Name, err)
-		}
-		ref.SpeedupVsSingle, ref.BitIdentical = 1, true
-		rep.Points = append(rep.Points, ref)
-		for _, w := range workerCounts {
-			p, weights, err := runDistPoint(sh, w, shards, epochs)
+		var ref distPoint
+		var refW []byte
+		for _, w := range append([]int{0}, workerCounts...) {
+			p, spread, weights, err := runDistPoint(sh, w, shards, epochs)
 			if err != nil {
-				return nil, fmt.Errorf("%s workers=%d: %w", sh.Name, w, err)
+				return m, fmt.Errorf("%s workers=%d: %w", sh.Name, w, err)
+			}
+			label := fmt.Sprintf("workers=%d", w)
+			if w == 0 {
+				ref, refW, label = p, weights, "single-proc"
 			}
 			p.SpeedupVsSingle = p.StepsPerSec / ref.StepsPerSec
 			p.BitIdentical = bytes.Equal(weights, refW)
+			fmt.Fprintf(stdout, "%-9s %-11s shards=%d  %4d steps in %6.2fs  %7.1f steps/s  speedup %.2fx  step %6.2f ms",
+				p.Shape, label, p.Shards, p.Steps, p.Seconds, p.StepsPerSec, p.SpeedupVsSingle, p.ReduceMS)
+			if s := p.StageMS; s != nil {
+				fmt.Fprintf(stdout, " = encode %.2f + wire %.2f + fold %.2f + apply %.2f", s["encode"], s["wire"], s["fold"], s["apply"])
+			}
+			fmt.Fprintln(stdout)
+			if !p.BitIdentical {
+				return m, fmt.Errorf("%s workers=%d: final weights not byte-identical to the single-process reference", sh.Name, w)
+			}
 			rep.Points = append(rep.Points, p)
+			m.spread = max(m.spread, spread)
 		}
 	}
-	return rep, nil
-}
-
-// JSON renders the report for BENCH_distributed.json.
-func (r *DistReport) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
+	return m, nil
 }

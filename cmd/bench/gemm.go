@@ -1,8 +1,9 @@
-package bench
+package main
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"time"
@@ -12,7 +13,10 @@ import (
 	"samplednn/internal/tensor"
 )
 
-// GEMM serial-vs-parallel benchmark. The paper's wall-clock baseline is
+// The gemm suite: a serial-vs-parallel sweep of the packed kernels under
+// the block sizes every training and serving run uses, at square sizes
+// and worker counts benchmark/'s tensor.*_gflops probes (one shape,
+// serial) do not visit. The paper's wall-clock baseline is
 // multi-threaded PyTorch on one CPU socket; this sweep measures how far
 // the worker-pool kernels close that gap on the host, and doubles as a
 // determinism check — every parallel result is compared bit-for-bit
@@ -25,8 +29,12 @@ import (
 // run count and the sample standard deviation are recorded so a noisy
 // measurement is visible in the report rather than silently averaged in.
 
-// GEMMPoint is one (kernel, size, workers) measurement.
-type GEMMPoint struct {
+// gemmGateTolerance is the fraction of a baseline's GFLOPS a serial row
+// must keep to pass the gate.
+const gemmGateTolerance = 0.8
+
+// gemmPoint is one (kernel, size, workers) measurement.
+type gemmPoint struct {
 	Kernel  string  `json:"kernel"`
 	Size    int     `json:"size"` // square operand dimension n (n×n by n×n)
 	Workers int     `json:"workers"`
@@ -44,22 +52,15 @@ type GEMMPoint struct {
 	BitIdentical bool `json:"bit_identical"`
 }
 
-// GEMMReport is the BENCH_gemm.json payload.
-type GEMMReport struct {
-	Host struct {
-		CPUs       int `json:"cpus"`
-		GOMAXPROCS int `json:"gomaxprocs"`
-	} `json:"host"`
-	// BlockConfig is the packed-GEMM block configuration the sweep ran
-	// under (the autotuner's pick when autotuning was requested).
+// gemmReport is the BENCH_gemm.json payload.
+type gemmReport struct {
+	// BlockConfig is the packed-GEMM block configuration the sweep (and
+	// every other binary) ran under.
 	BlockConfig tensor.BlockConfig `json:"block_config"`
-	// Autotune holds the per-configuration autotuner measurements when
-	// the sweep was preceded by AutotuneGEMM.
-	Autotune *AutotuneResult `json:"autotune,omitempty"`
-	Sizes    []int           `json:"sizes"`
-	Workers  []int           `json:"workers"`
-	Points   []GEMMPoint     `json:"points"`
-	Notes    []string        `json:"notes,omitempty"`
+	Sizes       []int              `json:"sizes"`
+	Workers     []int              `json:"workers"`
+	Points      []gemmPoint        `json:"points"`
+	Notes       []string           `json:"notes,omitempty"`
 }
 
 // gemmKernel adapts one tensor kernel to the square benchmark harness.
@@ -102,37 +103,23 @@ func timeOp(f func(), budget time.Duration) (minNs float64, runs int, stddevNs f
 		}
 	}
 	minNs = samples[0]
-	var mean float64
 	for _, s := range samples {
-		if s < minNs {
-			minNs = s
-		}
-		mean += s
+		minNs = min(minNs, s)
 	}
-	mean /= float64(len(samples))
-	var ss float64
-	for _, s := range samples {
-		d := s - mean
-		ss += d * d
-	}
-	if len(samples) > 1 {
-		stddevNs = math.Sqrt(ss / float64(len(samples)-1))
-	}
+	_, stddevNs = meanStddev(samples)
 	return minNs, len(samples), stddevNs
 }
 
-// RunGEMMBench sweeps the GEMM kernels over operand sizes and worker
-// counts. Workers == 1 is the serial baseline each speedup is relative
-// to. The per-point budget bounds total runtime.
-func RunGEMMBench(sizes, workerCounts []int, budget time.Duration) *GEMMReport {
-	rep := &GEMMReport{Sizes: sizes, Workers: workerCounts, BlockConfig: tensor.GEMMBlockConfig()}
-	rep.Host.CPUs = runtime.NumCPU()
-	rep.Host.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	if rep.Host.CPUs == 1 {
+// sweepGEMM times every kernel at every size, serially and then at each
+// worker count above one; Workers == 1 is the baseline each speedup is
+// relative to and each parallel product is compared with. The per-point
+// budget bounds total runtime.
+func sweepGEMM(sizes, workerCounts []int, budget time.Duration) *gemmReport {
+	rep := &gemmReport{Sizes: sizes, Workers: workerCounts, BlockConfig: tensor.GEMMBlockConfig()}
+	if runtime.NumCPU() == 1 {
 		rep.Notes = append(rep.Notes,
 			"single-CPU host: worker sweeps measure scheduling overhead only; multi-core hosts show near-linear kernel speedup")
 	}
-	defer tensor.SetPool(nil)
 	for _, n := range sizes {
 		g := rng.New(uint64(4000 + n))
 		a := tensor.New(n, n)
@@ -158,44 +145,34 @@ func RunGEMMBench(sizes, workerCounts []int, budget time.Duration) *GEMMReport {
 			if k.name == "sparseTransB" {
 				left = aSparse
 			}
-			serialOut := tensor.New(n, n)
-			tensor.SetPool(pool.New(1))
-			serialNs, serialRuns, serialSd := timeOp(func() { k.run(serialOut, left, b) }, budget)
-			tensor.SetPool(nil)
-			rep.Points = append(rep.Points, GEMMPoint{
-				Kernel: k.name, Size: n, Workers: 1,
-				NsPerOp: serialNs, GFLOPS: gflops(n, serialNs),
-				Runs: serialRuns, StddevNs: serialSd,
-				SpeedupVsSerial: 1, BitIdentical: true,
-			})
-			for _, w := range workerCounts {
-				if w <= 1 {
-					continue
-				}
-				p := pool.New(w)
+			point := func(w int) (gemmPoint, *tensor.Matrix) {
 				out := tensor.New(n, n)
+				p := pool.New(w)
 				tensor.SetPool(p)
 				ns, runs, sd := timeOp(func() { k.run(out, left, b) }, budget)
 				tensor.SetPool(nil)
 				p.Close()
-				rep.Points = append(rep.Points, GEMMPoint{
+				return gemmPoint{
 					Kernel: k.name, Size: n, Workers: w,
-					NsPerOp: ns, GFLOPS: gflops(n, ns),
+					NsPerOp: ns, GFLOPS: 2 * float64(n) * float64(n) * float64(n) / ns,
 					Runs: runs, StddevNs: sd,
-					SpeedupVsSerial: serialNs / ns,
-					BitIdentical:    bitsSame(serialOut, out),
-				})
+				}, out
+			}
+			serial, serialOut := point(1)
+			serial.SpeedupVsSerial, serial.BitIdentical = 1, true
+			rep.Points = append(rep.Points, serial)
+			for _, w := range workerCounts {
+				if w <= 1 {
+					continue
+				}
+				p, out := point(w)
+				p.SpeedupVsSerial = serial.NsPerOp / p.NsPerOp
+				p.BitIdentical = bitsSame(serialOut, out)
+				rep.Points = append(rep.Points, p)
 			}
 		}
 	}
 	return rep
-}
-
-func gflops(n int, nsPerOp float64) float64 {
-	if nsPerOp <= 0 {
-		return 0
-	}
-	return 2 * float64(n) * float64(n) * float64(n) / nsPerOp
 }
 
 func bitsSame(a, b *tensor.Matrix) bool {
@@ -210,61 +187,61 @@ func bitsSame(a, b *tensor.Matrix) bool {
 	return true
 }
 
-// JSON renders the report for BENCH_gemm.json.
-func (r *GEMMReport) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
-// gemmSizesFor picks operand sizes per scale; the acceptance target is
-// the ≥512 point, present from Small up.
-func gemmSizesFor(s Scale) []int {
-	switch s {
-	case Tiny:
-		return []int{64, 128}
-	case Small:
-		return []int{128, 256, 512}
-	default:
-		return []int{256, 512, 1024}
-	}
-}
-
-func init() {
-	register(Experiment{
-		ID:    "gemm-parallel",
-		Title: "worker-pool GEMM: serial vs parallel kernels",
-		Run:   runGEMMExperiment,
-	})
-}
-
-// runGEMMExperiment adapts the sweep to the experiment-registry table
-// format so `cmd/experiments -exp gemm-parallel` renders it.
-func runGEMMExperiment(s Scale) (*Result, error) {
-	budget := 50 * time.Millisecond
-	if s == Paper {
-		budget = 500 * time.Millisecond
-	}
-	rep := RunGEMMBench(gemmSizesFor(s), []int{1, 2, 4}, budget)
-	res := &Result{
-		ID:    "gemm-parallel",
-		Title: fmt.Sprintf("GEMM kernels, serial vs worker pool (host: %d CPUs)", rep.Host.CPUs),
-		PaperRef: "the paper's baseline is multi-threaded PyTorch (§8.4); parallel kernels are required " +
-			"for wall-clock parity, cf. Adelman et al.'s tuned multi-threaded dense baselines",
-		Columns: []string{"kernel", "size", "workers", "ms/op", "speedup", "bit-identical"},
-		Notes:   rep.Notes,
-	}
+// runGEMM is the gemm suite: the sweep, one line per row, and an error
+// for any parallel product that differs from the serial one.
+func runGEMM(stdout io.Writer, sizes, workerCounts []int, budget time.Duration) (measured, error) {
+	rep := sweepGEMM(sizes, workerCounts, budget)
+	m := measured{report: rep, runs: rep.Points[0].Runs}
 	for _, p := range rep.Points {
-		res.Rows = append(res.Rows, []string{
-			p.Kernel,
-			fmt.Sprint(p.Size),
-			fmt.Sprint(p.Workers),
-			fmt.Sprintf("%.3f", p.NsPerOp/1e6),
-			fmt.Sprintf("%.2fx", p.SpeedupVsSerial),
-			fmt.Sprint(p.BitIdentical),
-		})
+		fmt.Fprintf(stdout, "%-14s n=%-5d workers=%d  %8.3f ms/op  %7.2f GFLOPS  speedup %.2fx  (min of %d, stddev %.2f ms)\n",
+			p.Kernel, p.Size, p.Workers, p.NsPerOp/1e6, p.GFLOPS, p.SpeedupVsSerial, p.Runs, p.StddevNs/1e6)
+		if !p.BitIdentical {
+			return m, fmt.Errorf("kernel %s n=%d workers=%d: parallel result not bit-identical to serial",
+				p.Kernel, p.Size, p.Workers)
+		}
+		m.runs = min(m.runs, p.Runs)
+		m.spread = max(m.spread, p.StddevNs/p.NsPerOp)
 	}
-	return res, nil
+	return m, nil
+}
+
+// gateGEMM fails when a serial (workers=1) row present in both the
+// baseline artifact and the fresh one lost more than the tolerated share
+// of its GFLOPS. Rows only one side has are not compared — but a gate
+// that compared nothing (a renamed kernel, a baseline from another
+// sweep or format) has not passed.
+func gateGEMM(base []byte, fresh ledger) (string, error) {
+	var old struct {
+		Env    envelope   `json:"env"`
+		Report gemmReport `json:"report"`
+	}
+	if err := json.Unmarshal(base, &old); err != nil {
+		return "", err
+	}
+	type row struct {
+		kernel string
+		size   int
+	}
+	was := make(map[row]float64)
+	for _, p := range old.Report.Points {
+		if p.Workers == 1 && p.GFLOPS > 0 {
+			was[row{p.Kernel, p.Size}] = p.GFLOPS
+		}
+	}
+	compared := 0
+	for _, p := range fresh.Report.(*gemmReport).Points {
+		base, ok := was[row{p.Kernel, p.Size}]
+		if p.Workers != 1 || !ok {
+			continue
+		}
+		compared++
+		if p.GFLOPS < gemmGateTolerance*base {
+			return "", fmt.Errorf("%s@%d fell to %.2f GFLOPS, below %.0f%% of the baseline's %.2f",
+				p.Kernel, p.Size, p.GFLOPS, 100*gemmGateTolerance, base)
+		}
+	}
+	if compared == 0 {
+		return "", fmt.Errorf("no serial row in common, nothing was compared\n  baseline: %+v\n  this run: %+v", old.Env, fresh.Env)
+	}
+	return fmt.Sprintf("%d serial rows within %.0f%%", compared, 100*gemmGateTolerance), nil
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"strconv"
-	"strings"
 	"testing"
 )
 
@@ -131,41 +130,6 @@ func TestFig5And6And12Tiny(t *testing.T) {
 		}
 		if len(res.Rows) == 0 {
 			t.Fatalf("%s has no rows", id)
-		}
-	}
-}
-
-func TestTraceOverheadTiny(t *testing.T) {
-	rep, err := RunTraceBench(Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != 5 {
-		t.Fatalf("points = %d, want 5", len(rep.Points))
-	}
-	byName := map[string]TracePoint{}
-	for _, p := range rep.Points {
-		byName[p.Config] = p
-		if p.SecondsPerEpoch <= 0 {
-			t.Errorf("%s: non-positive epoch time %v", p.Config, p.SecondsPerEpoch)
-		}
-		if p.Accuracy < 0 || p.Accuracy > 1 {
-			t.Errorf("%s: accuracy %v outside [0,1]", p.Config, p.Accuracy)
-		}
-	}
-	if byName["tracer"].Spans == 0 || byName["tracer+probe"].Spans == 0 {
-		t.Error("tracer-enabled configs recorded no spans")
-	}
-	if byName["baseline"].Spans != 0 || byName["probe"].Spans != 0 {
-		t.Error("spans recorded with the tracer disabled")
-	}
-	data, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"noise_floor_pct"`, `"overhead_pct"`, `"seconds_per_epoch"`} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("report JSON missing %s", want)
 		}
 	}
 }

@@ -63,7 +63,7 @@ func MatMulInto(out, a, b *Matrix) {
 // of one a row, one out row, and a per-row share of the packed b panel
 // reloads.
 func gemmRowCost(k, n int) Cost {
-	return Cost{Flops: k * n, Bytes: 8 * (k + 2*n), MinRows: GEMMBlockConfig().MC}
+	return Cost{Flops: k * n, Bytes: 8 * (k + 2*n), MinRows: blockMC}
 }
 
 // MatMulNaive computes a*b with the textbook i-j-k loop order. It exists

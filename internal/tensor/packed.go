@@ -1,10 +1,8 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 )
 
 // Packed, register-blocked GEMM core (classic BLIS structure, pure Go).
@@ -66,50 +64,30 @@ const (
 )
 
 // BlockConfig holds the cache-blocking parameters of the packed GEMM
-// loop nest: B is packed in KC×NC panels, A in MC×KC blocks. The
-// defaults suit a ~48 KiB L1d / ~2 MiB L2 host (the packed A block is
-// MC·KC·8 = 256 KiB; one B strip of KC·microNR·8 = 8 KiB stays L1
-// resident under the micro-kernel). The bench autotuner measures a
-// small grid per host and installs the winner via SetBlockConfig.
+// loop nest: B is packed in KC×NC panels, A in MC×KC blocks. Block sizes
+// change only which elements share a packed tile, never any element's
+// summation chain, so results are identical under every configuration
+// (TestPackedBlockConfigInvariance); only throughput moves.
 type BlockConfig struct {
 	MC int `json:"mc"`
 	KC int `json:"kc"`
 	NC int `json:"nc"`
 }
 
-var defaultBlocks = BlockConfig{MC: 128, KC: 256, NC: 512}
+// The block sizes every product runs under. They suit a ~48 KiB L1d /
+// ~2 MiB L2 host: the packed A block is MC·KC·8 = 256 KiB, and one B
+// strip of KC·microNR·8 = 8 KiB stays L1 resident under the
+// micro-kernel.
+const (
+	blockMC = 128
+	blockKC = 256
+	blockNC = 512
+)
 
-var gemmBlocks atomic.Pointer[BlockConfig]
-
-// GEMMBlockConfig returns the active cache-blocking parameters.
+// GEMMBlockConfig returns the cache-blocking parameters of the packed
+// kernels, for reports that record what they measured.
 func GEMMBlockConfig() BlockConfig {
-	if c := gemmBlocks.Load(); c != nil {
-		return *c
-	}
-	return defaultBlocks
-}
-
-// SetBlockConfig installs cache-blocking parameters for the packed GEMM
-// kernels (MC is rounded up to a multiple of the micro-tile height, NC
-// to the width). Block sizes change only which elements share a packed
-// tile, never any element's summation chain, so results are identical
-// under every configuration; only throughput moves. Pass the zero value
-// to restore the defaults.
-func SetBlockConfig(c BlockConfig) {
-	if c == (BlockConfig{}) {
-		gemmBlocks.Store(nil)
-		return
-	}
-	if c.MC <= 0 || c.KC <= 0 || c.NC <= 0 {
-		panic(fmt.Sprintf("tensor: SetBlockConfig %+v: all block sizes must be positive", c))
-	}
-	c.MC = roundUp(c.MC, microMR)
-	c.NC = roundUp(c.NC, microNR)
-	gemmBlocks.Store(&c)
-}
-
-func roundUp(v, to int) int {
-	return (v + to - 1) / to * to
+	return BlockConfig{MC: blockMC, KC: blockKC, NC: blockNC}
 }
 
 // gview is a strided read-only view of one GEMM operand: element (r, c)
@@ -347,7 +325,12 @@ func packedGEMM(out []float64, ldOut int, a, b gview, kdim, n, lo, hi int, cols 
 		}
 		return
 	}
-	cfg := GEMMBlockConfig()
+	packedBlocks(GEMMBlockConfig(), out, ldOut, a, b, kdim, n, lo, hi, cols)
+}
+
+// packedBlocks is packedGEMM's loop nest under an explicit block
+// configuration (kdim > 0, a non-empty row range).
+func packedBlocks(cfg BlockConfig, out []float64, ldOut int, a, b gview, kdim, n, lo, hi int, cols []int) {
 	bufs := packPool.Get().(*packBufs)
 	defer packPool.Put(bufs)
 	for jc := 0; jc < n; jc += cfg.NC {

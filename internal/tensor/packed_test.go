@@ -130,31 +130,40 @@ func TestPackedMatMulColsExact(t *testing.T) {
 	}
 }
 
-// TestPackedBlockConfigInvariance pins the SetBlockConfig contract:
-// block sizes change throughput only, never any element's value — even
-// hostile configurations (blocks smaller than a micro-tile, KC=1) must
-// reproduce the default result bit-for-bit.
+// TestPackedBlockConfigInvariance pins the contract that lets the block
+// sizes be constants nobody has to tune for correctness: they change
+// throughput only, never any element's value. The loop nest is run
+// directly under hostile configurations (blocks smaller than a
+// micro-tile, KC=1, sizes off the micro-tile grid) and, on operands that
+// cross every MC, KC and NC boundary in it, under the 3×3 MC×KC grid
+// around the production constants; each must reproduce the production
+// result bit for bit.
 func TestPackedBlockConfigInvariance(t *testing.T) {
 	g := rng.New(903)
-	a := randDense(g, 70, 90)
-	b := randDense(g, 90, 110)
-	want := MatMul(a, b)
-	defer SetBlockConfig(BlockConfig{})
-	for _, cfg := range []BlockConfig{
-		{MC: 2, KC: 1, NC: 4},
-		{MC: 6, KC: 7, NC: 10},
-		{MC: 1024, KC: 1024, NC: 1024},
-	} {
-		SetBlockConfig(cfg)
-		got := MatMul(a, b)
-		if !bitsEqual(got, want) {
-			t.Errorf("block config %+v changed MatMul values", cfg)
+	run := func(m, k, n int, cfgs []BlockConfig) {
+		a := randDense(g, m, k)
+		b := randDense(g, k, n)
+		want := MatMul(a, b)
+		for _, cfg := range cfgs {
+			got := New(m, n)
+			packedBlocks(cfg, got.Data, n, gview{a.Data, k, 1}, gview{b.Data, n, 1}, k, n, 0, m, nil)
+			if !bitsEqual(got, want) {
+				t.Errorf("%dx%dx%d: block config %+v changed MatMul values", m, k, n, cfg)
+			}
 		}
 	}
-	SetBlockConfig(BlockConfig{})
-	if GEMMBlockConfig() != defaultBlocks {
-		t.Errorf("zero SetBlockConfig did not restore defaults: %+v", GEMMBlockConfig())
+	run(70, 90, 110, []BlockConfig{
+		{MC: 2, KC: 1, NC: 4},
+		{MC: 5, KC: 7, NC: 10},
+		{MC: 1024, KC: 1024, NC: 1024},
+	})
+	var grid []BlockConfig
+	for _, mc := range []int{64, 128, 256} {
+		for _, kc := range []int{128, 256, 512} {
+			grid = append(grid, BlockConfig{MC: mc, KC: kc, NC: 512})
+		}
 	}
+	run(258, 514, 516, grid)
 }
 
 // TestPackedNaNPropagation extends the zero-skip regression test to the

@@ -68,7 +68,7 @@ func MatMulTransBSparseInto(out, a, b *Matrix, support []int) []int {
 	segs, support = sparseSegments(a, p, support)
 	// MinRows = MC: a chunk that lands in a packed segment must be at
 	// least one A-block tall, or every tiny chunk repacks the B panel.
-	ParallelRowsCost(m, Cost{Flops: a.Cols * p, Bytes: 8 * (a.Cols + p), MinRows: GEMMBlockConfig().MC}, func(lo, hi int) {
+	ParallelRowsCost(m, Cost{Flops: a.Cols * p, Bytes: 8 * (a.Cols + p), MinRows: blockMC}, func(lo, hi int) {
 		var sup []int // per-chunk scratch for the per-row fallback
 		for _, sg := range segs {
 			slo, shi := max(sg.lo, lo), min(sg.hi, hi)
